@@ -12,7 +12,7 @@ cd "$(dirname "$0")"
 
 cmake -B build -S .
 cmake --build build -j
-ctest --output-on-failure -j --test-dir build
+ctest --output-on-failure -j "$(nproc)" --test-dir build
 
 scripts/tcp_smoke.sh build
 scripts/persist_smoke.sh build
@@ -54,10 +54,15 @@ python3 scripts/check_bench_json.py \
     --max-metric trace_overhead_pct=2.0 \
     "$BENCH_OUT/BENCH_fig_transport_pipeline.json"
 
+# Code size (non-blank lines of src/**/*.{h,cc}): the design aim is the
+# same behaviour from less code, so the number is printed every run.
+python3 scripts/loc_src.py
+
 # Perf trajectory: append this run's numbers to bench/trend/trend.jsonl
 # (keyed by commit + host + scale) and fail on a >20% throughput drop
-# against the best comparable recorded run. The ledger is committed, so
-# the repo carries its own performance history.
+# against the best comparable recorded run; loc.src rides along as an
+# ungated "loc" entry. The ledger is committed, so the repo carries its
+# own performance history.
 python3 scripts/bench_trend.py "$BENCH_OUT"/BENCH_*.json
 
 if [[ "${SIGMA_SKIP_SANITIZERS:-0}" != "1" ]]; then
@@ -66,7 +71,7 @@ if [[ "${SIGMA_SKIP_SANITIZERS:-0}" != "1" ]]; then
   cmake -B build-asan -S . -DSIGMA_SANITIZE=address,undefined \
       -DSIGMA_BUILD_BENCH=OFF -DSIGMA_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j
-  ctest --output-on-failure -j --test-dir build-asan
+  ctest --output-on-failure -j "$(nproc)" --test-dir build-asan
 
   # TSan lane: the full suite plus both multi-process smoke tests, with
   # the runtime lock-rank checker armed. tsan.supp carries documented
@@ -76,7 +81,7 @@ if [[ "${SIGMA_SKIP_SANITIZERS:-0}" != "1" ]]; then
       -DSIGMA_BUILD_BENCH=OFF
   cmake --build build-tsan -j
   TSAN_OPTIONS="suppressions=$PWD/tsan.supp halt_on_error=1" \
-      ctest --output-on-failure -j --test-dir build-tsan
+      ctest --output-on-failure -j "$(nproc)" --test-dir build-tsan
   TSAN_OPTIONS="suppressions=$PWD/tsan.supp halt_on_error=1" \
       scripts/tcp_smoke.sh build-tsan
   TSAN_OPTIONS="suppressions=$PWD/tsan.supp halt_on_error=1" \

@@ -19,7 +19,13 @@ Comparisons never cross host keys or scales — a laptop ledger entry can't
 fail a CI runner, and a scale-1.0 record can't fail a scale-0.05 smoke.
 New entries are appended BEFORE gating (a regressed run is still part of
 the trajectory; appending it never lowers the recorded best, which is a
-max over history).
+max over history). A metric key that comparable records of its bench
+never carried (a new or renamed key) gets a NOTICE, once: the next run
+finds it in the ledger.
+
+Every invocation also appends one ungated "loc" entry whose metric
+loc.src is the non-blank line count of src/**/*.{h,cc} (loc_src.py), so
+code size is tracked next to throughput.
 
 Usage:
   bench_trend.py [--trend FILE] [--sha SHA] [--when ISO] [--host KEY]
@@ -43,6 +49,8 @@ import platform
 import subprocess
 import sys
 import time
+
+import loc_src
 
 THROUGHPUT_SUFFIXES = ("mbps", "per_sec", "per_s")
 
@@ -169,6 +177,19 @@ def main(argv):
 
         if record_only:
             continue
+        known = set()
+        for old in history:
+            if comparable(old, bench, host, scale):
+                known.update((old.get("metrics") or {}).keys())
+        if known:
+            # New throughput keys get the gate's own NOTICE below.
+            for name in sorted(set(metrics) - known):
+                if is_throughput_metric(name):
+                    continue
+                print("bench_trend: NOTICE: %s %s is new to the ledger "
+                      "(host %s, scale %s) — first record, nothing to "
+                      "compare against" % (bench, name, host, scale),
+                      file=sys.stderr)
         # Gate each throughput metric against the best comparable record.
         for name, value in metrics.items():
             if not is_throughput_metric(name):
@@ -207,6 +228,11 @@ def main(argv):
                     "(sha %s, host %s, scale %s)"
                     % (bench, name, value, drop_pct, best,
                        (best_sha or "?")[:12], host, scale))
+
+    # Code size, ungated: recorded with every ledger write.
+    new_entries.append({"sha": sha, "when": when, "host": host,
+                        "bench": "loc", "params": {},
+                        "metrics": {"loc.src": loc_src.count(repo_root)}})
 
     os.makedirs(os.path.dirname(trend_path), exist_ok=True)
     with open(trend_path, "a", encoding="utf-8") as f:

@@ -147,9 +147,14 @@ Buffer BackupClient::restore(const std::string& session,
       throw std::runtime_error("restore: missing chunk " + entry.fp.hex() +
                                " on node " + std::to_string(entry.node));
     }
-    if (chunk->size() != entry.size) {
-      throw std::runtime_error("restore: chunk size mismatch for " +
-                               entry.fp.hex());
+    // Verified restore: a chunk corrupted in storage or on the wire must
+    // fail the restore, never come back as the file's bytes.
+    if (chunk->size() != entry.size ||
+        Fingerprint::of(ByteView{chunk->data(), chunk->size()},
+                        config_.hash) != entry.fp) {
+      throw std::runtime_error("restore: chunk " + entry.fp.hex() +
+                               " from node " + std::to_string(entry.node) +
+                               " fails its fingerprint check");
     }
     out.insert(out.end(), chunk->begin(), chunk->end());
   }

@@ -60,8 +60,9 @@ class BackupClient {
   /// stream for per-stream open containers on the nodes.
   BackupSummary backup(const ContentBackup& session, StreamId stream = 0);
 
-  /// Restore one file from its recipe; verifies nothing — callers compare
-  /// against the original. Throws if the recipe or a chunk is missing.
+  /// Restore one file from its recipe, re-fingerprinting every chunk with
+  /// the configured hash. Throws if the recipe or a chunk is missing, or
+  /// if a chunk's bytes do not match its fingerprint (naming the node).
   Buffer restore(const std::string& session, const std::string& path) const;
 
  private:

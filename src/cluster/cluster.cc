@@ -281,36 +281,22 @@ Cluster::Cluster(const ClusterConfig& config)
     route_us_ = &config_.metrics->histogram("route.decision_us");
     route_probe_rounds_ = &config_.metrics->counter("route.probe_rounds");
     route_probe_msgs_ = &config_.metrics->counter("route.probe_messages");
-    // Batched and sequential decisions are separate series so an A/B of
-    // the scatter-gather plane shows up in one merged scrape.
-    route_decisions_ = &config_.metrics->counter(
-        config_.transport.batched_probes ? "route.decisions_batched"
-                                         : "route.decisions_sequential");
+    // Counts every decision; existing scrapes and benches read this name.
+    route_decisions_ = &config_.metrics->counter("route.decisions_batched");
   }
-  views_.reserve(config_.num_nodes);
+  // The probe plane the routers gather through: message modes put the
+  // whole round in flight as pending calls (one fused probe per
+  // candidate); direct mode calls the nodes in order.
   if (runtime_) {
-    for (const auto& c : runtime_->clients) views_.push_back(c.get());
-  } else {
-    for (const auto& n : nodes_) views_.push_back(n.get());
-  }
-  // The probe plane the routers gather through. Message modes batch the
-  // round as concurrent pending calls (one fused probe per candidate);
-  // the sequential fallback and direct mode go through the per-node
-  // views — optionally fanned across a dedicated pool in direct mode.
-  if (runtime_ && config_.transport.batched_probes) {
     std::vector<const service::NodeClient*> stubs;
     stubs.reserve(runtime_->clients.size());
     for (const auto& c : runtime_->clients) stubs.push_back(c.get());
     probe_plane_ = std::make_unique<service::ClientProbeSet>(
         std::move(stubs), runtime_->timeout);
   } else {
-    if (!runtime_ && config_.transport.batched_probes &&
-        config_.transport.probe_threads > 0) {
-      probe_pool_ =
-          std::make_unique<ThreadPool>(config_.transport.probe_threads);
-    }
-    probe_plane_ =
-        std::make_unique<DirectProbeSet>(views_, probe_pool_.get());
+    views_.reserve(nodes_.size());
+    for (const auto& n : nodes_) views_.push_back(n.get());
+    probe_plane_ = std::make_unique<DirectProbeSet>(views_);
   }
 }
 

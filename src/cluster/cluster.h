@@ -23,7 +23,6 @@
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
-#include "common/thread_pool.h"
 #include "net/tcp/socket.h"
 #include "net/transport.h"
 #include "node/dedup_node.h"
@@ -66,16 +65,6 @@ struct TransportConfig {
   std::size_t service_threads = 0;
   /// Per-RPC timeout, milliseconds.
   std::uint32_t rpc_timeout_ms = 30000;
-  /// Scatter-gather probe plane: issue each routing decision's probe
-  /// round as one batch — all RPCs in flight together in message modes
-  /// (~1 round-trip per decision instead of one per node). Disable to
-  /// fall back to the sequential one-blocking-call-per-node path (kept
-  /// for equivalence testing; reports are bit-identical at depth 1).
-  bool batched_probes = true;
-  /// Direct mode only: fan the batched probe round across this many
-  /// dedicated threads (0 = run it sequentially in the routing thread).
-  /// Message modes ignore this — their batching is the async RPC round.
-  std::size_t probe_threads = 0;
   /// kTcp only: the node map — one entry per remote node service, in node
   /// id order (cluster node i is tcp_nodes[i]). num_nodes must match
   /// tcp_nodes.size(). See net::parse_tcp_nodes for "host:port[:endpoint]"
@@ -120,7 +109,7 @@ struct ClusterConfig {
   bool eb_bin_dedup = true;
   /// Optional metrics plane (must outlive the cluster). Instruments the
   /// whole client-side stack — routing decisions (latency histogram,
-  /// batched/sequential counters, probe-message volume), the RPC endpoint
+  /// decision counter, probe-message volume), the RPC endpoint
   /// and, in loopback mode, the in-process node services and transport.
   /// Null = no instrumentation beyond the existing struct counters.
   obs::Registry* metrics = nullptr;
@@ -175,9 +164,8 @@ class Cluster {
   bool transport_backed() const { return runtime_ != nullptr; }
 
   /// The scatter-gather probe plane routing decisions run against: the
-  /// nodes themselves in direct mode, RPC stubs in message mode (batched
-  /// pending calls, or sequential per-node calls when batched_probes is
-  /// off).
+  /// nodes themselves, called in order, in direct mode; one batch of
+  /// pending RPCs per decision in message mode.
   const ProbeSet& probe_set() const { return *probe_plane_; }
 
   /// Wire-level traffic counters (all zero in direct mode). Distinct from
@@ -270,14 +258,12 @@ class Cluster {
   /// null in direct mode. Defined in cluster.cc.
   struct TransportRuntime;
   std::unique_ptr<TransportRuntime> runtime_;
-  /// Per-node probe views: the nodes themselves in direct mode, RPC
-  /// stubs in message mode. Fixed at construction.
+  /// Direct mode's probe views (the nodes themselves); empty in message
+  /// mode. Fixed at construction.
   std::vector<const NodeProbe*> views_;
-  /// Direct-mode probe fan-out pool (probe_threads > 0 only).
-  std::unique_ptr<ThreadPool> probe_pool_;
   /// The scatter-gather plane route_unit() hands the router — built over
-  /// the client stubs (batched pending calls) in message mode, over
-  /// views_ otherwise. Fixed at construction.
+  /// the client stubs in message mode, over views_ in direct mode. Fixed
+  /// at construction.
   std::unique_ptr<ProbeSet> probe_plane_;
 
   /// Cached routing instruments; null without config_.metrics.

@@ -117,7 +117,7 @@ SocketFd tcp_listen(const TcpAddress& addr, int backlog = 64);
 std::uint16_t bound_port(int fd);
 
 /// Start a non-blocking connect to `addr`. The returned socket is either
-/// connected already or connecting (poll for POLLOUT, then check
+/// connected already or connecting (wait for EPOLLOUT, then check
 /// take_socket_error()).
 SocketFd tcp_connect_start(const TcpAddress& addr, bool& in_progress);
 

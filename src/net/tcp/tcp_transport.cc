@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -44,16 +43,10 @@ std::size_t resolve_reactor_count(const TcpTransportConfig& config) {
   return std::clamp<std::uint32_t>(n, 1, 64);
 }
 
-bool env_force_poll() {
-  const char* v = std::getenv("SIGMA_TCP_FORCE_POLL");
-  return v != nullptr && v[0] == '1';
-}
-
 }  // namespace
 
 TcpTransport::TcpTransport(TcpTransportConfig config)
     : config_(std::move(config)), next_id_(config_.endpoint_base) {
-  if (env_force_poll()) config_.force_poll = true;
   if (config_.metrics) {
     for (std::uint8_t op = 0; op <= kMaxMessageType; ++op) {
       rpc_us_[op] = &config_.metrics->histogram(

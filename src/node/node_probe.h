@@ -2,18 +2,14 @@
 // that data-routing schemes query before placing a routing unit (paper
 // Algorithm 1 step 2 and the EMC stateful sampled probe).
 //
-// Routers program against these interfaces instead of concrete nodes so
-// the same routing code runs in both deployment modes: the direct-call
-// simulator (DedupNode implements NodeProbe in-process) and the
-// message-passing service stack (service::NodeClient implements it with
-// RPCs over a Transport). Probe *message* accounting stays in the routing
-// layer (RouteContext), so Fig. 7's metric is identical in both modes.
-//
-// NodeProbe is the per-node query surface; ProbeSet is the scatter-gather
-// probe plane on top of it: one gather() issues every per-node query of a
-// routing decision at once, so a transport-backed implementation can put
-// all probes in flight together (~1 round-trip per decision) instead of
-// paying one blocking round-trip per node.
+// Routers program against ProbeSet, the scatter-gather probe plane: one
+// gather() issues every per-node query of a routing decision at once.
+// The same routing code runs in both deployment modes — the direct-call
+// simulator (DirectProbeSet over DedupNode's NodeProbe methods) and the
+// message-passing service stack (service::ClientProbeSet, one fused
+// kRoutingProbe RPC per candidate, all in flight together). Probe
+// *message* accounting stays in the routing layer (RouteContext), so
+// Fig. 7's metric is identical in both modes.
 #pragma once
 
 #include <cstdint>
@@ -62,10 +58,10 @@ struct ProbeRound {
 };
 
 /// Scatter-gather probe plane over a fleet of nodes. Implementations:
-/// DirectProbeSet (in-process virtual calls, optionally fanned across a
-/// ThreadPool) and service::ClientProbeSet (all RPCs issued as pending
-/// calls up front and drained together — one round-trip per decision over
-/// loopback or TCP).
+/// DirectProbeSet (in-process calls, sequential in the caller's thread)
+/// and service::ClientProbeSet (all RPCs issued as pending calls up front
+/// and drained together — one round-trip per decision over loopback or
+/// TCP).
 class ProbeSet {
  public:
   virtual ~ProbeSet() = default;

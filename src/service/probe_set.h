@@ -3,9 +3,9 @@
 // one fused routing probe (match count + stored bytes) per candidate,
 // one stored-bytes call per remaining node — and drained together. The
 // round completes in roughly one network round-trip regardless of the
-// candidate count, instead of the 2N+ sequential round-trips the
-// per-node NodeProbe path costs; over TCP the transport's in-flight
-// request tracking fails the whole round fast if a daemon dies.
+// candidate count; over TCP the transport's in-flight request tracking
+// fails the whole round fast if a daemon dies. This is the only probe
+// path of the message modes.
 #pragma once
 
 #include <chrono>

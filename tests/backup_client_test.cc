@@ -4,6 +4,9 @@
 
 #include "cluster/backup_client.h"
 #include "common/random.h"
+#include "storage/backend.h"
+#include "storage/container.h"
+#include "storage/container_store.h"
 
 namespace sigma {
 namespace {
@@ -188,6 +191,91 @@ TEST(BackupClientTest, Md5FingerprintingRoundTrips) {
   client.backup(session);
   for (const auto& file : session.files) {
     EXPECT_EQ(client.restore("s", file.path), file.data);
+  }
+}
+
+/// A node store that hands back every sealed container with one byte
+/// flipped. Raw, the flip breaks the container's own checksum; resealed,
+/// the flip lands in each chunk's payload of a container whose checksum
+/// still holds — corruption from before the seal, which only the
+/// restore-side fingerprint check can see.
+class CorruptingBackend final : public StorageBackend {
+ public:
+  explicit CorruptingBackend(bool reseal) : reseal_(reseal) {}
+
+  void put(const std::string& key, ByteView data) override {
+    inner_.put(key, data);
+  }
+  std::optional<Buffer> get(const std::string& key) override {
+    auto blob = inner_.get(key);
+    if (!blob || !ContainerStore::parse_container_key(key)) return blob;
+    if (!reseal_) {
+      (*blob)[blob->size() / 2] ^= 0x01;
+      return blob;
+    }
+    const Container in = Container::deserialize(*blob);
+    Container out(in.id());
+    for (std::size_t i = 0; i < in.chunk_count(); ++i) {
+      const ByteView data = in.chunk_data(i);
+      Buffer flipped(data.begin(), data.end());
+      if (!flipped.empty()) flipped[flipped.size() / 2] ^= 0x01;
+      out.append(in.metadata()[i].fp, flipped);
+    }
+    return out.serialize();
+  }
+  bool exists(const std::string& key) override { return inner_.exists(key); }
+  void remove(const std::string& key) override { inner_.remove(key); }
+  std::vector<std::string> keys() override { return inner_.keys(); }
+
+ private:
+  const bool reseal_;
+  MemoryBackend inner_;
+};
+
+TEST(BackupClientTest, CorruptChunksFailRestoreInsteadOfReturningBytes) {
+  for (const bool reseal : {false, true}) {
+    for (const HashAlgorithm hash :
+         {HashAlgorithm::kSha1, HashAlgorithm::kMd5}) {
+      ClusterConfig cc;
+      cc.num_nodes = 3;
+      cc.super_chunk_bytes = 64 * 1024;
+      cc.backend_factory = [reseal](NodeId) {
+        return std::make_unique<CorruptingBackend>(reseal);
+      };
+      Cluster cluster(cc);
+      Director director;
+      BackupClientConfig bc;
+      bc.hash = hash;
+      bc.super_chunk_bytes = 64 * 1024;
+      BackupClient client(bc, cluster, director);
+      const auto session = make_session("s", 17, 4, 50000);
+      client.backup(session);
+      cluster.flush();  // seal: every read now goes through get()
+
+      for (const auto& file : session.files) {
+        const auto recipe = director.find("s", file.path);
+        ASSERT_TRUE(recipe.has_value());
+        ASSERT_FALSE(recipe->chunks.empty());
+        try {
+          const Buffer got = client.restore("s", file.path);
+          ADD_FAILURE() << file.path << " restored "
+                        << (got == file.data ? "intact" : "wrong")
+                        << " bytes from a corrupt store (reseal=" << reseal
+                        << ")";
+        } catch (const std::runtime_error& e) {
+          if (reseal) {
+            // Only the fingerprint check sees this; it names the chunk
+            // and the node that served it.
+            const auto& first = recipe->chunks.front();
+            const std::string what = e.what();
+            EXPECT_NE(what.find(first.fp.hex()), std::string::npos) << what;
+            EXPECT_NE(what.find("node " + std::to_string(first.node)),
+                      std::string::npos)
+                << what;
+          }
+        }
+      }
+    }
   }
 }
 

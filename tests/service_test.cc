@@ -40,6 +40,14 @@ Buffer payload_for(std::uint64_t id, std::uint32_t size = 4096) {
 
 class ServiceFixture : public ::testing::Test {
  protected:
+  /// One fused routing probe, answered synchronously.
+  service::RoutingProbeReply probe(ProbeKind kind,
+                                   const std::vector<Fingerprint>& fps) {
+    const Buffer body = client_.routing_probe_async(kind, fps).get(5000ms);
+    return service::decode_routing_probe_reply(
+        ByteView{body.data(), body.size()});
+  }
+
   ServiceFixture()
       : node_(0, DedupNodeConfig{}),
         pool_(2),
@@ -140,10 +148,7 @@ TEST_F(ServiceFixture, FusedRoutingProbeMatchesDirectCalls) {
   node_.write_super_chunk(0, sc);
 
   const Handprint hp = compute_handprint(sc.chunks, 8);
-  auto call = client_.routing_probe_async(ProbeKind::kResemblance, hp);
-  Buffer body = call.get(5000ms);
-  auto reply =
-      service::decode_routing_probe_reply(ByteView{body.data(), body.size()});
+  auto reply = probe(ProbeKind::kResemblance, hp);
   EXPECT_EQ(reply.matches, node_.resemblance_count(hp));
   EXPECT_GT(reply.matches, 0u);
   EXPECT_EQ(reply.stored_bytes, node_.stored_bytes());
@@ -151,28 +156,28 @@ TEST_F(ServiceFixture, FusedRoutingProbeMatchesDirectCalls) {
   std::vector<Fingerprint> fps;
   for (const auto& c : sc.chunks) fps.push_back(c.fp);
   fps.push_back(rec(777777).fp);  // one absent
-  call = client_.routing_probe_async(ProbeKind::kChunkMatch, fps);
-  body = call.get(5000ms);
-  reply =
-      service::decode_routing_probe_reply(ByteView{body.data(), body.size()});
+  reply = probe(ProbeKind::kChunkMatch, fps);
   EXPECT_EQ(reply.matches, node_.chunk_match_count(fps));
   EXPECT_EQ(reply.matches, 64u);
 }
 
 TEST_F(ServiceFixture, ProbesMatchDirectCalls) {
+  // Both probe kinds, on nodes with and without matching state, plus the
+  // standalone stored-bytes query: the wire answer is the node's answer.
   const SuperChunk sc = make_super_chunk(0, 64);
-  node_.write_super_chunk(0, sc);
-
   const Handprint hp = compute_handprint(sc.chunks, 8);
-  EXPECT_EQ(client_.resemblance_count(hp), node_.resemblance_count(hp));
-  EXPECT_GT(client_.resemblance_count(hp), 0u);
-
   std::vector<Fingerprint> fps;
   for (const auto& c : sc.chunks) fps.push_back(c.fp);
-  fps.push_back(rec(777777).fp);  // one absent
-  EXPECT_EQ(client_.chunk_match_count(fps), node_.chunk_match_count(fps));
-  EXPECT_EQ(client_.chunk_match_count(fps), 64u);
 
+  EXPECT_EQ(probe(ProbeKind::kResemblance, hp).matches, 0u);
+  EXPECT_EQ(probe(ProbeKind::kChunkMatch, fps).matches, 0u);
+  EXPECT_EQ(client_.stored_bytes(), 0u);
+
+  node_.write_super_chunk(0, sc);
+  EXPECT_EQ(probe(ProbeKind::kResemblance, hp).matches,
+            node_.resemblance_count(hp));
+  EXPECT_EQ(probe(ProbeKind::kChunkMatch, fps).matches,
+            node_.chunk_match_count(fps));
   EXPECT_EQ(client_.stored_bytes(), node_.stored_bytes());
 }
 
@@ -278,21 +283,30 @@ TEST_F(ServiceFixture, MalformedRequestYieldsErrorNotCrash) {
 }
 
 TEST_F(ServiceFixture, GarbageBodyYieldsErrorNotCrash) {
-  EXPECT_THROW(rpc_.call_sync(service_.endpoint(),
-                              net::MessageType::kResemblanceProbe,
-                              Buffer{0xFF, 0xFF}, 5000ms),
-               net::RpcError);
+  // The routing-probe decoder refuses an unknown kind byte, a count
+  // larger than the body, and trailing bytes.
+  const std::vector<Buffer> garbage{
+      {0xFF, 0xFF},
+      {0x00, 0xFF, 0xFF, 0xFF, 0xFF},
+      {0x01, 0x00, 0x00, 0x00, 0x00, 0xAB}};
+  for (const Buffer& body : garbage) {
+    EXPECT_THROW(rpc_.call_sync(service_.endpoint(),
+                                net::MessageType::kRoutingProbe, Buffer(body),
+                                5000ms),
+                 net::RpcError);
+  }
   EXPECT_EQ(client_.stored_bytes(), 0u);
+  EXPECT_EQ(service_.stats().errors_returned, garbage.size());
 }
 
 // --- Probe fast lane ----------------------------------------------------------
 
 TEST_F(ServiceFixture, RequestsAreClassifiedIntoLanes) {
+  const Handprint hp = compute_handprint(make_super_chunk(0, 8).chunks, 4);
   client_.write_super_chunk(0, make_super_chunk(0, 8));  // write lane
   client_.stored_bytes();                                // fast lane
   client_.test_duplicates({rec(1).fp});                  // fast lane
-  client_.resemblance_count(compute_handprint(
-      make_super_chunk(0, 8).chunks, 4));                // fast lane
+  probe(ProbeKind::kResemblance, hp);                    // fast lane
   client_.flush();                                       // write lane
 
   const auto stats = service_.stats();

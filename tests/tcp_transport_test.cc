@@ -5,10 +5,13 @@
 // garbage, and large-body reassembly across partial reads.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 #include "net/rpc.h"
@@ -202,11 +205,46 @@ TEST(TcpTransportTest, EchoRoundTripOverSockets) {
   TcpPair pair;
   RpcEndpoint rpc(*pair.client);
   const Buffer body{1, 2, 3, 4, 5};
-  const Buffer reply = rpc.call_sync(pair.echo_id, MessageType::kChunkProbe,
+  const Buffer reply = rpc.call_sync(pair.echo_id, MessageType::kDuplicateTest,
                                      Buffer(body), 5000ms);
   EXPECT_EQ(reply, body);
   EXPECT_GT(pair.client->tcp_stats().connections_established, 0u);
   EXPECT_EQ(pair.server->tcp_stats().connections_accepted, 1u);
+}
+
+/// Death-test child: drop the descriptor limit to zero, then build a
+/// transport. Exits 0 after SocketError, 1 if construction succeeds.
+[[noreturn]] void construct_without_descriptors() {
+  // Warm-up with descriptors to spare: UBSan's first vptr check of a type
+  // probes memory through a pipe, which would itself fail below; checked
+  // types are cached, so later checks open nothing.
+  { TcpTransport warm_up(TcpTransportConfig{}); }
+  try {
+    throw SocketError("warm-up");
+  } catch (const SocketError& e) {
+    (void)e.what();
+  }
+  rlimit lim{};
+  ::getrlimit(RLIMIT_NOFILE, &lim);
+  lim.rlim_cur = 0;
+  if (::setrlimit(RLIMIT_NOFILE, &lim) != 0) std::_Exit(3);
+  try {
+    TcpTransport transport(TcpTransportConfig{});
+  } catch (const SocketError& e) {
+    std::fprintf(stderr, "SocketError: %s\n", e.what());
+    std::_Exit(0);
+  }
+  std::_Exit(1);
+}
+
+TEST(TcpTransportDeathTest, DescriptorExhaustionThrowsInsteadOfHanging) {
+  // Each reactor needs an epoll instance and an eventfd. A process out of
+  // descriptors must get SocketError naming the failed call from the
+  // constructor: no degraded loop, no reactor that never wakes. The limit
+  // is lowered in the death-test child only.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(construct_without_descriptors(), ::testing::ExitedWithCode(0),
+              "SocketError: (epoll_create1|eventfd): ");
 }
 
 TEST(TcpTransportTest, LargeBodySurvivesPartialReadsAndWrites) {
@@ -237,7 +275,7 @@ TEST(TcpTransportTest, CorrelationUnderConcurrentClientThreads) {
         w.u64(static_cast<std::uint64_t>(t) * 1000003 + i);
         const Buffer body = w.take();
         const Buffer reply = rpc.call_sync(
-            pair.echo_id, MessageType::kChunkProbe, Buffer(body), 10000ms);
+            pair.echo_id, MessageType::kDuplicateTest, Buffer(body), 10000ms);
         if (reply != body) ++mismatches;
       }
     });

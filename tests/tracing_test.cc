@@ -582,49 +582,55 @@ TEST(TraceRenderTest, ChromeJsonCarriesProcessesAndIds) {
 TEST(TraceHandshakeTest, ProtocolV3PeerIsRefusedAtHello) {
   // The trace block bumped the protocol to v4; a v3 peer (pre-flags
   // framing) must be refused at HELLO, never fed a frame it would
-  // misparse.
+  // misparse. Likewise a v5 peer since v6 renumbered the op bytes (the
+  // per-node probe ops are gone): its frames would decode as wrong ops.
   server::NodeServerConfig cfg;
   cfg.listen = {"127.0.0.1", 0};
   cfg.num_nodes = 1;
   server::NodeServer server(cfg);
+  ASSERT_EQ(net::kProtocolVersion, 6);
 
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server.port());
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  const std::vector<std::uint8_t> stale_versions{3, 5};
+  for (const std::uint8_t version : stale_versions) {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
 
-  Buffer hello = net::encode_hello({net::PeerRole::kClient});
-  ASSERT_EQ(hello[4], net::kProtocolVersion);
-  ASSERT_EQ(net::kProtocolVersion, 5);
-  hello[4] = 3;
-  ASSERT_EQ(::send(fd, hello.data(), hello.size(), 0),
-            static_cast<ssize_t>(hello.size()));
+    Buffer hello = net::encode_hello({net::PeerRole::kClient});
+    ASSERT_EQ(hello[4], net::kProtocolVersion);
+    hello[4] = version;
+    ASSERT_EQ(::send(fd, hello.data(), hello.size(), 0),
+              static_cast<ssize_t>(hello.size()));
 
-  timeval tv{};
-  tv.tv_sec = 10;
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  bool closed = false;
-  std::size_t received = 0;
-  char buf[256];
-  for (int i = 0; i < 64; ++i) {
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) {
-      closed = (n == 0);
-      break;
+    timeval tv{};
+    tv.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    bool closed = false;
+    std::size_t received = 0;
+    char buf[256];
+    for (int i = 0; i < 64; ++i) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) {
+        closed = (n == 0);
+        break;
+      }
+      received += static_cast<std::size_t>(n);
     }
-    received += static_cast<std::size_t>(n);
+    ::close(fd);
+    EXPECT_TRUE(closed) << "server kept a v" << int{version}
+                        << " connection open";
+    EXPECT_LE(received, net::Hello::kWireBytes);
   }
-  ::close(fd);
-  EXPECT_TRUE(closed) << "server kept a v3 connection open";
-  EXPECT_LE(received, net::Hello::kWireBytes);
 
   const MetricsSnapshot snap = server.metrics_snapshot();
   ASSERT_NE(snap.find_counter("tcp.handshake_failures"), nullptr);
-  EXPECT_EQ(*snap.find_counter("tcp.handshake_failures"), 1u);
+  EXPECT_EQ(*snap.find_counter("tcp.handshake_failures"),
+            stale_versions.size());
 }
 
 }  // namespace

@@ -69,37 +69,6 @@ TEST_P(SchemeIdentity, TransportReportEqualsDirectReport) {
   EXPECT_EQ(direct.net_stats().messages_sent, 0u);
 }
 
-TEST_P(SchemeIdentity, BatchedProbesMatchSequentialProbes) {
-  // The scatter-gather probe plane must not move a single routing
-  // decision: batched probing (the default) and the sequential
-  // one-call-per-node fallback produce bit-identical reports — dedup
-  // ratio, per-node usage, Fig. 7 probe-message counts — in direct mode
-  // (thread-pool fan-out vs in-thread loop) and in loopback message mode
-  // (concurrent pending calls vs blocking per-node RPCs).
-  const RoutingScheme scheme = GetParam();
-  const Dataset trace = small_linux_trace();
-
-  auto run = [&](TransportMode mode, bool batched,
-                 std::size_t probe_threads) {
-    ClusterConfig cfg = cluster_config(scheme, 4, mode);
-    cfg.transport.batched_probes = batched;
-    cfg.transport.probe_threads = probe_threads;
-    Cluster cluster(cfg);
-    cluster.backup_dataset(trace);
-    cluster.flush();
-    return cluster.report();
-  };
-
-  const ClusterReport direct_seq = run(TransportMode::kDirect, false, 0);
-  const ClusterReport direct_fan = run(TransportMode::kDirect, true, 4);
-  const ClusterReport loop_seq = run(TransportMode::kLoopback, false, 0);
-  const ClusterReport loop_batched = run(TransportMode::kLoopback, true, 0);
-
-  expect_identical_reports(direct_seq, direct_fan);
-  expect_identical_reports(direct_seq, loop_seq);
-  expect_identical_reports(direct_seq, loop_batched);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllSchemes, SchemeIdentity,
                          ::testing::Values(RoutingScheme::kSigma,
                                            RoutingScheme::kStateless,
