@@ -34,7 +34,10 @@ Usage:
   --trend FILE     ledger path (default bench/trend/trend.jsonl relative
                    to the repo root this script lives in)
   --sha SHA        override the recorded commit (default: git rev-parse
-                   HEAD, "unknown" outside a checkout)
+                   HEAD, suffixed "-dirty" when the worktree has
+                   uncommitted changes outside the ledger — the numbers
+                   then belong to no commit; "unknown" outside a
+                   checkout)
   --when ISO       override the recorded timestamp (default: now, UTC)
   --host KEY       override the host key (default: platform machine +
                    cpu count)
@@ -60,17 +63,29 @@ def default_host_key():
                          os.cpu_count() or 1)
 
 
-def git_sha():
+def git(repo_root, *args):
+    """stdout of a git command run in repo_root, or None on failure."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=os.path.dirname(os.path.abspath(__file__)),
-            capture_output=True, text=True, timeout=10)
-        if out.returncode == 0:
-            return out.stdout.strip()
+        out = subprocess.run(["git"] + list(args), cwd=repo_root,
+                             capture_output=True, text=True, timeout=10)
     except OSError:
-        pass
-    return "unknown"
+        return None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_sha(repo_root, trend_path):
+    """HEAD's SHA, with "-dirty" appended when anything but the ledger
+    differs from HEAD (the run measured code no commit holds)."""
+    head = git(repo_root, "rev-parse", "HEAD")
+    if head is None:
+        return "unknown"
+    status = git(repo_root, "status", "--porcelain") or ""
+    ledger = os.path.relpath(os.path.abspath(trend_path), repo_root)
+    for line in status.splitlines():
+        # "XY path" or "XY old -> new" for renames.
+        if line[3:].split(" -> ")[-1] != ledger:
+            return head.strip() + "-dirty"
+    return head.strip()
 
 
 def is_throughput_metric(name):
@@ -140,7 +155,7 @@ def main(argv):
         print(__doc__.strip(), file=sys.stderr)
         return 2
 
-    sha = sha or git_sha()
+    sha = sha or git_sha(repo_root, trend_path)
     when = when or time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
     host = host or default_host_key()
 
@@ -238,8 +253,9 @@ def main(argv):
     with open(trend_path, "a", encoding="utf-8") as f:
         for entry in new_entries:
             f.write(json.dumps(entry, sort_keys=True) + "\n")
+    short_sha = sha[:12] + ("-dirty" if sha.endswith("-dirty") else "")
     print("bench_trend: recorded %d result(s) at %s (sha %s)"
-          % (len(new_entries), trend_path, sha[:12]))
+          % (len(new_entries), trend_path, short_sha))
 
     if failures:
         for msg in failures:

@@ -13,6 +13,7 @@
 #include "net/rpc.h"
 #include "net/tcp/tcp_transport.h"
 #include "node/probe_set.h"
+#include "obs/metrics_wire.h"
 #include "obs/trace.h"
 #include "service/node_client.h"
 #include "service/node_service.h"
@@ -43,7 +44,7 @@ struct Cluster::TransportRuntime {
                    const TransportConfig& config, obs::Registry* metrics)
       : timeout(config.rpc_timeout_ms),
         pipeline_depth(std::max<std::size_t>(1, config.pipeline_depth)) {
-    transport = std::make_unique<net::LoopbackTransport>();
+    transport = std::make_unique<net::LoopbackTransport>(metrics);
     // Two drain lanes per node (writes + probe fast lane) can each occupy
     // a task; sizing for both keeps the fast lane live on small clusters.
     pool = std::make_unique<ThreadPool>(
@@ -54,19 +55,11 @@ struct Cluster::TransportRuntime {
                   std::max(2u, std::thread::hardware_concurrency())));
     services.reserve(nodes.size());
     for (auto& n : nodes) {
+      // In-process fleet: with a shared registry every service answers
+      // kStatsSnapshot with the whole fleet's view, as a daemon would.
       services.push_back(std::make_unique<service::NodeService>(
           *n, *transport, *pool, metrics,
           "node" + std::to_string(services.size())));
-      if (metrics) {
-        // In-process fleet: every service answers kStatsSnapshot with the
-        // shared registry's view, same as a daemon would (trace counters
-        // folded in at scrape time like a daemon's struct stats).
-        services.back()->set_snapshot_provider([metrics] {
-          obs::MetricsSnapshot snap = metrics->snapshot();
-          obs::fold_trace_stats(snap);
-          return snap;
-        });
-      }
     }
     rpc = std::make_unique<net::RpcEndpoint>(*transport, metrics);
     clients.reserve(nodes.size());
@@ -262,8 +255,10 @@ Cluster::Cluster(const ClusterConfig& config)
       nodes_.push_back(
           config_.backend_factory
               ? std::make_unique<DedupNode>(id, config_.node,
-                                            config_.backend_factory(id))
-              : std::make_unique<DedupNode>(id, config_.node));
+                                            config_.backend_factory(id),
+                                            config_.metrics)
+              : std::make_unique<DedupNode>(id, config_.node,
+                                            config_.metrics));
     }
   }
   if (config_.scheme == RoutingScheme::kExtremeBinning &&
@@ -536,6 +531,16 @@ bool Cluster::registry_healthy() const {
 
 net::NetStats Cluster::net_stats() const {
   return runtime_ ? runtime_->transport->stats() : net::NetStats{};
+}
+
+obs::MetricsSnapshot Cluster::stats_snapshot(std::size_t i) const {
+  if (!runtime_) {
+    throw std::logic_error("Cluster: stats scrape needs a message transport");
+  }
+  const Buffer body = runtime_->rpc->call_sync(
+      runtime_->clients.at(i)->service_endpoint(),
+      net::MessageType::kStatsSnapshot, Buffer{}, runtime_->timeout);
+  return obs::decode_metrics_snapshot(ByteView{body.data(), body.size()});
 }
 
 ClusterReport Cluster::report() const {

@@ -109,9 +109,12 @@ struct ClusterConfig {
   bool eb_bin_dedup = true;
   /// Optional metrics plane (must outlive the cluster). Instruments the
   /// whole client-side stack — routing decisions (latency histogram,
-  /// decision counter, probe-message volume), the RPC endpoint
-  /// and, in loopback mode, the in-process node services and transport.
-  /// Null = no instrumentation beyond the existing struct counters.
+  /// decision counter, probe-message volume), the RPC endpoint, the
+  /// transport (`net.*`, and `tcp.*` in kTcp mode) and the locally hosted
+  /// nodes (`node.*`, `recovery.*`, `store.*` of in-memory backends) and,
+  /// in loopback mode, their node services (`svc.*`). Null = the
+  /// components keep their counters in registries they own (stats()
+  /// accessors still work) and record no histograms or gauges.
   obs::Registry* metrics = nullptr;
 };
 
@@ -171,6 +174,12 @@ class Cluster {
   /// Wire-level traffic counters (all zero in direct mode). Distinct from
   /// MessageStats, which counts the paper's fingerprint-lookup metric.
   net::NetStats net_stats() const;
+
+  /// Message modes: node i's kStatsSnapshot answer — the registry of the
+  /// process hosting its service (this one in loopback mode, the daemon
+  /// in kTcp mode) plus the tracer's counters. Throws std::logic_error in
+  /// direct mode.
+  obs::MetricsSnapshot stats_snapshot(std::size_t i) const;
 
   /// Registry mode only: the latest fleet view (the lease-time view until
   /// a membership change is pushed). Empty optional under static wiring.

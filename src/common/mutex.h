@@ -8,11 +8,10 @@
 // the rank of every ranked mutex it already holds. The enum below is the
 // global acquisition order, derived from the call graph:
 //
-//   NodeService::node_mu_  ->  NodeService::mu_   (handle() error path)
 //   NodeService::mu_       ->  Channel, ThreadPool (arm drain under mu_)
-//   node_mu_               ->  every storage lock  (DedupNode internals)
+//   NodeService::node_mu_  ->  every storage lock  (DedupNode internals)
 //   ContainerStore::mu_    ->  StorageBackend      (seal writes the blob)
-//   node_mu_               ->  Transport, Registry (kStatsSnapshot scrape)
+//   node_mu_               ->  Registry            (kStatsSnapshot scrape)
 //   Registry               ->  trace ring registry (scrape folds tracer)
 //   anything               ->  logging             (log lines everywhere)
 //
@@ -57,7 +56,7 @@ enum class LockRank : int {
   //      cached fleet views. Held across transport sends (ranks 58-60),
   //      never under data-plane locks.
   kRegistryCtrl = 12,
-  kService = 20,     // NodeService::mu_ — stats + drain arming
+  kService = 20,     // NodeService::mu_ — drain arming
 
   // ---- Primitives the service plane arms under its own lock -----------
   kChannel = 30,     // net::Channel inbox state
@@ -70,9 +69,7 @@ enum class LockRank : int {
   kSimilarityShard = 44,
   kFingerprintCache = 46,
   kBloomFilter = 48,
-  kNodeStats = 50,
   kStorageBackend = 52,
-  kStorageStats = 54,
   kDirector = 56,
 
   // ---- Message plane (never held while calling into the layers above).

@@ -7,6 +7,7 @@
 
 #include "common/logging.h"
 #include "obs/metrics_wire.h"
+#include "obs/trace.h"
 
 namespace sigma::ctrl {
 namespace {
@@ -35,6 +36,7 @@ RegistryServer::RegistryServer(const RegistryServerConfig& config)
   m_lease_expiries_ = &registry_.counter("registry.lease_expiries");
   m_leaves_ = &registry_.counter("registry.leaves");
   m_view_pushes_ = &registry_.counter("registry.view_pushes");
+  m_push_acks_ = &registry_.counter("registry.push_acks");
   m_nodes_ = &registry_.gauge("registry.nodes");
   m_clients_ = &registry_.gauge("registry.clients");
 
@@ -77,25 +79,9 @@ std::size_t RegistryServer::client_lease_count() const {
   return n;
 }
 
-std::uint64_t RegistryServer::push_acks() const {
-  MutexLock lock(mu_);
-  return push_acks_;
-}
-
 obs::MetricsSnapshot RegistryServer::metrics_snapshot() const {
   obs::MetricsSnapshot snap = registry_.snapshot();
-  const net::NetStats net = transport_->stats();
-  snap.add_counter("net.messages_sent", net.messages_sent);
-  snap.add_counter("net.bytes_sent", net.bytes_sent);
-  snap.add_counter("net.requests", net.requests);
-  snap.add_counter("net.responses", net.responses);
-  snap.add_counter("net.errors", net.errors);
-  const net::TcpTransportStats tcp = transport_->tcp_stats();
-  snap.add_counter("tcp.connections_accepted", tcp.connections_accepted);
-  snap.add_counter("tcp.frames_received", tcp.frames_received);
-  snap.add_counter("tcp.route_conflicts", tcp.route_conflicts);
-  snap.add_counter("tcp.route_takeovers", tcp.route_takeovers);
-  snap.add_counter("tcp.route_expired", tcp.route_expired);
+  obs::fold_trace_stats(snap);
   return snap;
 }
 
@@ -113,8 +99,7 @@ void RegistryServer::serve() {
       // expiry will surface soon enough.
       if (m->type == net::MessageType::kFleetUpdate &&
           m->kind == net::MessageKind::kResponse) {
-        MutexLock lock(mu_);
-        ++push_acks_;
+        m_push_acks_->inc();
       }
     } else {
       handle(*m);

@@ -81,9 +81,8 @@ class RegistryServer {
   std::size_t node_lease_count() const SIGMA_EXCLUDES(mu_);
   std::size_t client_lease_count() const SIGMA_EXCLUDES(mu_);
 
-  /// Fleet-view pushes acknowledged by subscribers (test ordering hook).
-  std::uint64_t push_acks() const SIGMA_EXCLUDES(mu_);
-
+  /// The registry (registry.* plus the transport's net.* / tcp.*
+  /// counters) and the tracer's counters — what kStatsSnapshot answers.
   obs::MetricsSnapshot metrics_snapshot() const;
 
  private:
@@ -128,6 +127,7 @@ class RegistryServer {
   obs::Counter* m_lease_expiries_;
   obs::Counter* m_leaves_;
   obs::Counter* m_view_pushes_;
+  obs::Counter* m_push_acks_;  // fleet-view pushes acknowledged
   obs::Gauge* m_nodes_;
   obs::Gauge* m_clients_;
 
@@ -144,7 +144,6 @@ class RegistryServer {
   std::uint64_t next_lease_id_ SIGMA_GUARDED_BY(mu_) = 1;
   service::FleetView view_ SIGMA_GUARDED_BY(mu_);
   std::uint64_t next_push_correlation_ SIGMA_GUARDED_BY(mu_) = 1;
-  std::uint64_t push_acks_ SIGMA_GUARDED_BY(mu_) = 0;
 
   std::thread worker_;
 };

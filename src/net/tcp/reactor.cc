@@ -161,9 +161,7 @@ void Reactor::join() {
 bool Reactor::on_reactor_thread() { return t_on_reactor_thread; }
 
 void Reactor::wake() {
-  wakeups_.fetch_add(1, std::memory_order_relaxed);
-  if (ins_.wakeups) ins_.wakeups->inc();
-  if (ins_.r_wakeups) ins_.r_wakeups->inc();
+  ins_.wakeups->inc();
   const std::uint64_t one = 1;
   (void)!::write(wake_fd_.get(), &one, sizeof(one));
 }
@@ -178,19 +176,7 @@ void Reactor::drain_wake_fd() {
 void Reactor::push_frame(const ConnPtr& conn, Message&& m,
                          const Message& header, bool track) {
   OutFrame frame = make_out_frame(std::move(m));
-  stats_.bytes_sent += frame.wire_size();
-  ++stats_.messages_sent;
-  switch (header.kind) {
-    case MessageKind::kRequest:
-      ++stats_.requests;
-      break;
-    case MessageKind::kResponse:
-      ++stats_.responses;
-      break;
-    case MessageKind::kError:
-      ++stats_.errors;
-      break;
-  }
+  ins_.tcp->net.count_sent(header.kind, frame.wire_size());
   // Track our own requests until their response arrives, so a dead
   // connection fails them instead of leaving the caller to time out.
   if (track) {
@@ -238,9 +224,8 @@ bool Reactor::outbound_exists(
 
 void Reactor::backpressure_wait(const ConnPtr& conn) {
   MutexLock lock(mu_);
-  if (ins_.backpressure_stalls && !stop_ &&
-      conn->outbox_bytes > config_.write_high_watermark) {
-    ins_.backpressure_stalls->inc();
+  if (!stop_ && conn->outbox_bytes > config_.write_high_watermark) {
+    ins_.tcp->backpressure_stalls.inc();
   }
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -269,27 +254,10 @@ void Reactor::adopt_inbound(ConnPtr conn) {
   {
     MutexLock lock(mu_);
     if (stop_) return;  // fd closes via RAII
-    ++connections_accepted_;
+    ins_.tcp->connections_accepted.inc();
     pending_inbound_.push_back(std::move(conn));
   }
   wake();
-}
-
-NetStats Reactor::net_stats() const {
-  MutexLock lock(mu_);
-  return stats_;
-}
-
-void Reactor::add_tcp_stats(TcpTransportStats& total) const {
-  MutexLock lock(mu_);
-  total.connections_accepted += connections_accepted_;
-  total.connections_established += connections_established_;
-  total.connect_failures += connect_failures_;
-  total.connections_lost += connections_lost_;
-  total.protocol_errors += protocol_errors_;
-  total.frames_received += frames_received_;
-  total.bytes_received += bytes_received_;
-  total.wakeups += wakeups_.load(std::memory_order_relaxed);
 }
 
 // ---- Event loop ------------------------------------------------------------
@@ -468,9 +436,9 @@ void Reactor::loop_accept() {
 }
 
 void Reactor::loop_dial(const ConnPtr& conn) {
-  if (ins_.connects) ins_.connects->inc();
-  if (ins_.reconnects && conn->was_established) {
-    ins_.reconnects->inc();
+  ins_.tcp->connects.inc();
+  if (conn->was_established) {
+    ins_.tcp->reconnects.inc();
     conn->was_established = false;
   }
   try {
@@ -503,10 +471,10 @@ void Reactor::loop_connect_ready(const ConnPtr& conn) {
 }
 
 void Reactor::connect_failed(const ConnPtr& conn, const std::string& reason) {
+  ins_.tcp->connect_failures.inc();
   std::vector<Message> bounces;
   {
     MutexLock lock(mu_);
-    ++connect_failures_;
     forget_fd(conn);
     conn->fd.reset();
     ++conn->attempts;
@@ -541,7 +509,7 @@ void Reactor::close_conn(const ConnPtr& conn, const std::string& reason) {
   {
     MutexLock lock(mu_);
     if (conn->state == TcpConn::State::kEstablished) {
-      ++connections_lost_;
+      ins_.tcp->connections_lost.inc();
     }
     forget_fd(conn);
     conn->fd.reset();
@@ -663,11 +631,7 @@ void Reactor::loop_readable(const ConnPtr& conn) {
       close_conn(conn, std::string("read: ") + std::strerror(errno));
       return;
     }
-    {
-      MutexLock lock(mu_);
-      bytes_received_ += static_cast<std::uint64_t>(n);
-    }
-    if (ins_.r_bytes_rx) ins_.r_bytes_rx->inc(static_cast<std::uint64_t>(n));
+    ins_.bytes_received->inc(static_cast<std::uint64_t>(n));
     ByteView data{buf, static_cast<std::size_t>(n)};
 
     // Finish the handshake before framing begins.
@@ -683,11 +647,8 @@ void Reactor::loop_readable(const ConnPtr& conn) {
         (void)decode_hello(
             ByteView{conn->hello_in.data(), conn->hello_in.size()});
       } catch (const FrameError& e) {
-        {
-          MutexLock lock(mu_);
-          ++protocol_errors_;
-        }
-        if (ins_.handshake_failures) ins_.handshake_failures->inc();
+        ins_.tcp->protocol_errors.inc();
+        ins_.tcp->handshake_failures.inc();
         close_conn(conn, e.what());
         return;
       }
@@ -695,7 +656,7 @@ void Reactor::loop_readable(const ConnPtr& conn) {
       conn->state = TcpConn::State::kEstablished;
       conn->attempts = 0;
       conn->was_established = true;
-      ++connections_established_;
+      ins_.tcp->connections_established.inc();
       // Flushing queued frames + the rest of this read happen below.
     }
 
@@ -706,10 +667,7 @@ void Reactor::loop_readable(const ConnPtr& conn) {
         if (!conn->fd.valid()) return;  // dispatch closed it
       }
     } catch (const FrameError& e) {
-      {
-        MutexLock lock(mu_);
-        ++protocol_errors_;
-      }
+      ins_.tcp->protocol_errors.inc();
       close_conn(conn, e.what());
       return;
     }
@@ -721,36 +679,21 @@ void Reactor::loop_dispatch(const ConnPtr& conn, Message&& m) {
   const obs::TraceContext trace_ctx = m.trace;
   const std::uint64_t dispatch_start =
       trace_ctx.sampled ? obs::unix_micros() : 0;
-  {
+  ins_.frames->inc();
+  // Kind counters cover traffic both ways (messages_sent/bytes_sent stay
+  // send-only): a client's `responses` is what its fleet answered.
+  ins_.tcp->net.count_kind(m.kind);
+  if (m.kind != MessageKind::kRequest) {
     MutexLock lock(mu_);
-    ++frames_received_;
-    // Kind counters cover traffic both ways (messages_sent/bytes_sent
-    // stay send-only): a client's `responses` is what its fleet answered.
-    switch (m.kind) {
-      case MessageKind::kRequest:
-        ++stats_.requests;
-        break;
-      case MessageKind::kResponse:
-        ++stats_.responses;
-        break;
-      case MessageKind::kError:
-        ++stats_.errors;
-        break;
-    }
-    if (m.kind != MessageKind::kRequest) {
-      // The response's destination is the endpoint that issued the call.
-      auto it = conn->awaiting_response.find({m.dst, m.correlation_id});
-      if (it != conn->awaiting_response.end()) {
-        // Whole-RPC latency: local send() to response frame decoded.
-        if (ins_.rpc_us) {
-          obs::Histogram* h = ins_.rpc_us[static_cast<std::uint8_t>(m.type)];
-          if (h) h->observe_since(it->second.queued_at);
-        }
-        conn->awaiting_response.erase(it);
-      }
+    // The response's destination is the endpoint that issued the call.
+    auto it = conn->awaiting_response.find({m.dst, m.correlation_id});
+    if (it != conn->awaiting_response.end()) {
+      // Whole-RPC latency: local send() to response frame decoded.
+      obs::Histogram* h = ins_.rpc_us[static_cast<std::uint8_t>(m.type)];
+      if (h) h->observe_since(it->second.queued_at);
+      conn->awaiting_response.erase(it);
     }
   }
-  if (ins_.r_frames) ins_.r_frames->inc();
 
   // Learn the return route for the peer's endpoint. The directory is
   // transport-global (an endpoint id is fleet-unique regardless of which
@@ -769,14 +712,14 @@ void Reactor::loop_dispatch(const ConnPtr& conn, Message&& m) {
         << " re-registered by a different peer connection while its route "
            "is active — refusing the message (endpoint-id collision; give "
            "each client a distinct endpoint base)";
-    MutexLock lock(mu_);
-    ++stats_.dropped;
+    ins_.tcp->net.dropped.inc();
     if (header.kind != MessageKind::kRequest) return;
     Message bounce = Message::error_to(
         header, "transport: endpoint " + std::to_string(header.src) +
                     " already routed to another peer (endpoint-id "
                     "collision)");
-    ++stats_.errors;
+    ins_.tcp->net.errors.inc();
+    MutexLock lock(mu_);
     OutFrame frame = make_out_frame(std::move(bounce));
     conn->outbox_bytes += frame.wire_size();
     conn->outbox.push_back(std::move(frame));
@@ -796,12 +739,12 @@ void Reactor::loop_dispatch(const ConnPtr& conn, Message&& m) {
 
   // Unknown destination: refuse requests over the wire (the remote
   // caller's RPC fails fast), drop stray responses.
-  MutexLock lock(mu_);
-  ++stats_.dropped;
+  ins_.tcp->net.dropped.inc();
   if (header.kind != MessageKind::kRequest) return;
   Message bounce = Message::error_to(
       header, "transport: no endpoint " + std::to_string(header.dst));
-  ++stats_.errors;
+  ins_.tcp->net.errors.inc();
+  MutexLock lock(mu_);
   OutFrame frame = make_out_frame(std::move(bounce));
   conn->outbox_bytes += frame.wire_size();
   conn->outbox.push_back(std::move(frame));

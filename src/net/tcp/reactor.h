@@ -47,7 +47,7 @@
 namespace sigma::net {
 
 struct TcpTransportConfig;
-struct TcpTransportStats;
+struct TcpCounters;
 class Reactor;
 
 /// One frame queued for the wire: the encoded header (fixed header plus
@@ -197,19 +197,16 @@ class ReactorHost {
   virtual void adopt_accepted(SocketFd fd) = 0;
 };
 
-/// Instrument pointers a reactor records into (all optional; shared ones
-/// are shared across reactors, r_* are this reactor's own).
+/// What a reactor records into: the transport-wide counters, its own
+/// transport.reactor<i>.* counters, and the opt-in instruments (null
+/// unless the transport was given a registry).
 struct ReactorInstruments {
+  TcpCounters* tcp = nullptr;              // shared by every reactor
+  obs::Counter* frames = nullptr;          // transport.reactor<i>.frames
+  obs::Counter* bytes_received = nullptr;  // .bytes_received
+  obs::Counter* wakeups = nullptr;         // .wakeups
   obs::Histogram* const* rpc_us = nullptr;  // [kMaxMessageType + 1]
-  obs::Counter* connects = nullptr;
-  obs::Counter* reconnects = nullptr;
-  obs::Counter* handshake_failures = nullptr;
-  obs::Counter* backpressure_stalls = nullptr;
-  obs::Counter* wakeups = nullptr;  // transport.wakeups (fleet-wide)
   obs::Gauge* write_queue_bytes = nullptr;
-  obs::Counter* r_frames = nullptr;    // transport.reactor<i>.frames
-  obs::Counter* r_bytes_rx = nullptr;  // transport.reactor<i>.bytes_received
-  obs::Counter* r_wakeups = nullptr;   // transport.reactor<i>.wakeups
 };
 
 class Reactor {
@@ -275,8 +272,7 @@ class Reactor {
   /// Poke the loop (new work queued, stop requested).
   void wake();
 
-  NetStats net_stats() const;
-  void add_tcp_stats(TcpTransportStats& total) const;
+  const ReactorInstruments& instruments() const { return ins_; }
 
  private:
   void loop();
@@ -315,7 +311,7 @@ class Reactor {
   const std::string index_str_;
   ReactorInstruments ins_;
 
-  mutable Mutex mu_{LockRank::kTransport};
+  Mutex mu_{LockRank::kTransport};
   CondVar write_cv_;  // backpressured producers wait here
   bool stop_ SIGMA_GUARDED_BY(mu_) = false;
 
@@ -327,17 +323,6 @@ class Reactor {
   /// Accepted conns handed over by the accepting reactor, adopted into
   /// inbound_ at the next loop iteration.
   std::vector<ConnPtr> pending_inbound_ SIGMA_GUARDED_BY(mu_);
-
-  NetStats stats_ SIGMA_GUARDED_BY(mu_);
-  std::uint64_t connections_accepted_ SIGMA_GUARDED_BY(mu_) = 0;
-  std::uint64_t connections_established_ SIGMA_GUARDED_BY(mu_) = 0;
-  std::uint64_t connect_failures_ SIGMA_GUARDED_BY(mu_) = 0;
-  std::uint64_t connections_lost_ SIGMA_GUARDED_BY(mu_) = 0;
-  std::uint64_t protocol_errors_ SIGMA_GUARDED_BY(mu_) = 0;
-  std::uint64_t frames_received_ SIGMA_GUARDED_BY(mu_) = 0;
-  std::uint64_t bytes_received_ SIGMA_GUARDED_BY(mu_) = 0;
-
-  std::atomic<std::uint64_t> wakeups_{0};
 
   int listen_fd_ = -1;  // borrowed from the transport (reactor 0 only)
 

@@ -45,21 +45,34 @@ std::size_t resolve_reactor_count(const TcpTransportConfig& config) {
 
 }  // namespace
 
+TcpCounters::TcpCounters(obs::Registry& registry)
+    : net(registry),
+      connections_accepted(registry.counter("tcp.connections_accepted")),
+      connections_established(
+          registry.counter("tcp.connections_established")),
+      connect_failures(registry.counter("tcp.connect_failures")),
+      connections_lost(registry.counter("tcp.connections_lost")),
+      protocol_errors(registry.counter("tcp.protocol_errors")),
+      bounced_requests(registry.counter("tcp.bounced_requests")),
+      route_conflicts(registry.counter("tcp.route_conflicts")),
+      route_takeovers(registry.counter("tcp.route_takeovers")),
+      route_expired(registry.counter("tcp.route_expired")),
+      connects(registry.counter("tcp.connects")),
+      reconnects(registry.counter("tcp.reconnects")),
+      handshake_failures(registry.counter("tcp.handshake_failures")),
+      backpressure_stalls(registry.counter("tcp.backpressure_stalls")) {}
+
 TcpTransport::TcpTransport(TcpTransportConfig config)
-    : config_(std::move(config)), next_id_(config_.endpoint_base) {
+    : config_(std::move(config)),
+      next_id_(config_.endpoint_base),
+      metrics_(config_.metrics),
+      counters_(*metrics_) {
   if (config_.metrics) {
     for (std::uint8_t op = 0; op <= kMaxMessageType; ++op) {
       rpc_us_[op] = &config_.metrics->histogram(
           std::string("tcp.rpc_us.") +
           to_string(static_cast<MessageType>(op)));
     }
-    m_connects_ = &config_.metrics->counter("tcp.connects");
-    m_reconnects_ = &config_.metrics->counter("tcp.reconnects");
-    m_handshake_failures_ =
-        &config_.metrics->counter("tcp.handshake_failures");
-    m_backpressure_stalls_ =
-        &config_.metrics->counter("tcp.backpressure_stalls");
-    m_wakeups_ = &config_.metrics->counter("transport.wakeups");
     m_write_queue_bytes_ = &config_.metrics->gauge("tcp.write_queue_bytes");
   }
   if (config_.listen) {
@@ -69,21 +82,14 @@ TcpTransport::TcpTransport(TcpTransportConfig config)
   const std::size_t n = resolve_reactor_count(config_);
   reactors_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
+    const std::string prefix = "transport.reactor" + std::to_string(i);
     ReactorInstruments ins;
+    ins.tcp = &counters_;
+    ins.frames = &metrics_->counter(prefix + ".frames");
+    ins.bytes_received = &metrics_->counter(prefix + ".bytes_received");
+    ins.wakeups = &metrics_->counter(prefix + ".wakeups");
     ins.rpc_us = rpc_us_;
-    ins.connects = m_connects_;
-    ins.reconnects = m_reconnects_;
-    ins.handshake_failures = m_handshake_failures_;
-    ins.backpressure_stalls = m_backpressure_stalls_;
-    ins.wakeups = m_wakeups_;
     ins.write_queue_bytes = m_write_queue_bytes_;
-    if (config_.metrics) {
-      const std::string prefix = "transport.reactor" + std::to_string(i);
-      ins.r_frames = &config_.metrics->counter(prefix + ".frames");
-      ins.r_bytes_rx =
-          &config_.metrics->counter(prefix + ".bytes_received");
-      ins.r_wakeups = &config_.metrics->counter(prefix + ".wakeups");
-    }
     ReactorHost& host = *this;  // private base: convert inside the class
     reactors_.push_back(std::make_unique<Reactor>(host, config_, i, ins));
   }
@@ -145,11 +151,8 @@ bool TcpTransport::deliver_local(Message&& m) {
 
 void TcpTransport::bounce_request(const Message& header,
                                   const std::string& text) {
-  {
-    MutexLock lock(ep_mu_);
-    ++bounced_requests_;
-    ++local_stats_.errors;
-  }
+  counters_.bounced_requests.inc();
+  counters_.net.errors.inc();
   Message bounce = Message::error_to(header, "transport: " + text);
   (void)deliver_local(std::move(bounce));  // requester gone: silent drop
 }
@@ -183,11 +186,11 @@ ReactorHost::RouteClaim TcpTransport::learn_route(EndpointId src,
       static_cast<std::int64_t>(config_.route_stale_ms) * 1000;
   if (it->second->last_frame_us.load(std::memory_order_relaxed) <=
       stale_cutoff_us) {
-    ++route_takeovers_;
+    counters_.route_takeovers.inc();
     it->second = conn;
     return RouteClaim::kTakeover;
   }
-  ++route_conflicts_;
+  counters_.route_conflicts.inc();
   return RouteClaim::kConflict;
 }
 
@@ -218,7 +221,7 @@ void TcpTransport::sweep_stale_routes() {
   for (auto it = routes_.begin(); it != routes_.end();) {
     if (it->second->last_frame_us.load(std::memory_order_relaxed) <=
         cutoff_us) {
-      ++route_expired_;
+      counters_.route_expired.inc();
       it = routes_.erase(it);
     } else {
       ++it;
@@ -275,27 +278,9 @@ void TcpTransport::send(Message&& m) {
   }
 
   if (local) {
-    {
-      MutexLock lock(ep_mu_);
-      ++local_stats_.messages_sent;
-      local_stats_.bytes_sent += m.wire_size();
-      switch (m.kind) {
-        case MessageKind::kRequest:
-          ++local_stats_.requests;
-          break;
-        case MessageKind::kResponse:
-          ++local_stats_.responses;
-          break;
-        case MessageKind::kError:
-          ++local_stats_.errors;
-          break;
-      }
-    }
+    counters_.net.count_sent(m.kind, m.wire_size());
     if (!deliver_local(std::move(m))) {
-      {
-        MutexLock lock(ep_mu_);
-        ++local_stats_.dropped;
-      }
+      counters_.net.dropped.inc();
       if (is_request) bounce_request(header, "endpoint unregistered");
     }
     return;
@@ -313,9 +298,7 @@ void TcpTransport::send(Message&& m) {
       // Fail the offending message locally: shipping it would poison the
       // shared connection when the peer rejects the frame. (Both sides
       // of a deployment share one max_body_bytes.)
-      MutexLock lock(ep_mu_);
-      ++local_stats_.dropped;
-      lock.unlock();
+      counters_.net.dropped.inc();
       if (is_request) {
         bounce_request(header, "message body " + std::to_string(body_size) +
                                    " exceeds limit " +
@@ -335,10 +318,7 @@ void TcpTransport::send(Message&& m) {
 
   const auto pit = config_.remote_endpoints.find(m.dst);
   if (pit == config_.remote_endpoints.end()) {
-    {
-      MutexLock lock(ep_mu_);
-      ++local_stats_.dropped;
-    }
+    counters_.net.dropped.inc();
     if (is_request) {
       bounce_request(header,
                      "no route to endpoint " + std::to_string(header.dst));
@@ -346,10 +326,7 @@ void TcpTransport::send(Message&& m) {
     return;
   }
   if (body_size > config_.max_body_bytes) {
-    {
-      MutexLock lock(ep_mu_);
-      ++local_stats_.dropped;
-    }
+    counters_.net.dropped.inc();
     if (is_request) {
       bounce_request(header, "message body " + std::to_string(body_size) +
                                  " exceeds limit " +
@@ -369,10 +346,7 @@ void TcpTransport::send(Message&& m) {
     try {
       dial = resolve_numeric(pit->second);
     } catch (const SocketError& e) {
-      {
-        MutexLock lock(ep_mu_);
-        ++local_stats_.dropped;
-      }
+      counters_.net.dropped.inc();
       if (is_request) {
         bounce_request(header, std::string("resolve failed: ") + e.what());
       }
@@ -390,37 +364,25 @@ void TcpTransport::send(Message&& m) {
   if (!Reactor::on_reactor_thread()) shard.backpressure_wait(conn);
 }
 
-NetStats TcpTransport::stats() const {
-  NetStats total;
-  {
-    MutexLock lock(ep_mu_);
-    total = local_stats_;
-  }
-  for (const auto& r : reactors_) {
-    const NetStats s = r->net_stats();
-    total.messages_sent += s.messages_sent;
-    total.bytes_sent += s.bytes_sent;
-    total.requests += s.requests;
-    total.responses += s.responses;
-    total.errors += s.errors;
-    total.dropped += s.dropped;
-  }
-  return total;
-}
+NetStats TcpTransport::stats() const { return counters_.net.read(); }
 
 TcpTransportStats TcpTransport::tcp_stats() const {
   TcpTransportStats total;
-  {
-    MutexLock lock(ep_mu_);
-    total.bounced_requests = bounced_requests_;
+  total.connections_accepted = counters_.connections_accepted.value();
+  total.connections_established = counters_.connections_established.value();
+  total.connect_failures = counters_.connect_failures.value();
+  total.connections_lost = counters_.connections_lost.value();
+  total.protocol_errors = counters_.protocol_errors.value();
+  total.bounced_requests = counters_.bounced_requests.value();
+  total.route_conflicts = counters_.route_conflicts.value();
+  total.route_takeovers = counters_.route_takeovers.value();
+  total.route_expired = counters_.route_expired.value();
+  for (const auto& r : reactors_) {
+    const ReactorInstruments& ins = r->instruments();
+    total.frames_received += ins.frames->value();
+    total.bytes_received += ins.bytes_received->value();
+    total.wakeups += ins.wakeups->value();
   }
-  {
-    MutexLock lock(route_mu_);
-    total.route_conflicts = route_conflicts_;
-    total.route_takeovers = route_takeovers_;
-    total.route_expired = route_expired_;
-  }
-  for (const auto& r : reactors_) r->add_tcp_stats(total);
   return total;
 }
 

@@ -124,16 +124,18 @@ struct TcpTransportConfig {
   /// different claimant is a collision and is refused.
   std::uint32_t route_stale_ms = 15000;
 
-  /// Optional metrics plane (must outlive the transport). Adds per-op
-  /// RPC latency histograms (send to response), connect / handshake
-  /// counters, backpressure-stall counts, a write-queue depth gauge with
-  /// high-water tracking, the fleet-wide wakeup counter, and per-shard
-  /// transport.reactor<i>.{frames,bytes_received,wakeups} counters. Null
-  /// = zero instrumentation beyond the existing struct counters.
+  /// Registry for the transport's counters (must outlive the transport):
+  /// `net.*`, the `tcp.*` connection / route / stall counters and the
+  /// per-shard transport.reactor<i>.{frames,bytes_received,wakeups}.
+  /// Null = the transport keeps them in a registry it owns. Given a
+  /// registry, it also records the opt-in instruments: per-op RPC
+  /// latency histograms (send to response) and a write-queue depth gauge
+  /// with high-water tracking.
   obs::Registry* metrics = nullptr;
 };
 
-/// TCP-specific counters on top of NetStats (summed across reactors).
+/// TCP-specific counters on top of NetStats. frames_received,
+/// bytes_received and wakeups are sums of the per-reactor counters.
 struct TcpTransportStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_established = 0;
@@ -160,6 +162,27 @@ struct TcpTransportStats {
   /// dialed in to take the route over (a departed client). Without the
   /// sweep these would linger forever and count against lease reuse.
   std::uint64_t route_expired = 0;
+};
+
+/// The transport-wide counters, shared by every reactor (registry names
+/// `net.*` and `tcp.<field>`).
+struct TcpCounters {
+  explicit TcpCounters(obs::Registry& registry);
+
+  NetCounters net;
+  obs::Counter& connections_accepted;
+  obs::Counter& connections_established;
+  obs::Counter& connect_failures;
+  obs::Counter& connections_lost;
+  obs::Counter& protocol_errors;
+  obs::Counter& bounced_requests;
+  obs::Counter& route_conflicts;
+  obs::Counter& route_takeovers;
+  obs::Counter& route_expired;
+  obs::Counter& connects;
+  obs::Counter& reconnects;
+  obs::Counter& handshake_failures;
+  obs::Counter& backpressure_stalls;
 };
 
 class TcpTransport final : public Transport, private ReactorHost {
@@ -209,39 +232,30 @@ class TcpTransport final : public Transport, private ReactorHost {
   std::atomic<bool> stopping_{false};
 
   // ---- Endpoint table (rank kTransportEndpoints, below the shards) ------
-  mutable Mutex ep_mu_{LockRank::kTransportEndpoints};
+  Mutex ep_mu_{LockRank::kTransportEndpoints};
   CondVar idle_cv_;  // unregister_endpoint waits here
   std::unordered_map<EndpointId, std::shared_ptr<Endpoint>> endpoints_
       SIGMA_GUARDED_BY(ep_mu_);
   EndpointId next_id_ SIGMA_GUARDED_BY(ep_mu_);
-  /// Local-delivery traffic (wire traffic is counted per reactor).
-  NetStats local_stats_ SIGMA_GUARDED_BY(ep_mu_);
-  std::uint64_t bounced_requests_ SIGMA_GUARDED_BY(ep_mu_) = 0;
 
   // ---- Learned routes (rank kTransportRoutes, below the shards) ---------
   /// Remote endpoint id -> connection that carried its last message (how
   /// a daemon answers client endpoints). Transport-global: a response
   /// produced by any thread must find the route no matter which shard
   /// the inbound connection hashed to.
-  mutable Mutex route_mu_{LockRank::kTransportRoutes};
+  Mutex route_mu_{LockRank::kTransportRoutes};
   std::unordered_map<EndpointId, ConnPtr> routes_
       SIGMA_GUARDED_BY(route_mu_);
-  std::uint64_t route_conflicts_ SIGMA_GUARDED_BY(route_mu_) = 0;
-  std::uint64_t route_takeovers_ SIGMA_GUARDED_BY(route_mu_) = 0;
-  std::uint64_t route_expired_ SIGMA_GUARDED_BY(route_mu_) = 0;
   /// Next time sweep_stale_routes() actually scans (it is called every
   /// reactor iteration; the scan runs at a quarter of the stale window).
   std::int64_t next_route_sweep_us_ SIGMA_GUARDED_BY(route_mu_) = 0;
 
-  /// Cached instruments (null without config_.metrics), shared by every
+  obs::RegistryHandle metrics_;
+  TcpCounters counters_;  // shared by every reactor
+  /// Opt-in instruments (null without config_.metrics), shared by every
   /// reactor. RPC latency is measured send() -> response dispatch, per
   /// op, against the tracking entries in TcpConn::awaiting_response.
   obs::Histogram* rpc_us_[kMaxMessageType + 1] = {};
-  obs::Counter* m_connects_ = nullptr;
-  obs::Counter* m_reconnects_ = nullptr;
-  obs::Counter* m_handshake_failures_ = nullptr;
-  obs::Counter* m_backpressure_stalls_ = nullptr;
-  obs::Counter* m_wakeups_ = nullptr;
   obs::Gauge* m_write_queue_bytes_ = nullptr;
 
   SocketFd listen_fd_;  // owned here, borrowed by reactor 0

@@ -8,6 +8,9 @@
 // enqueue, not to do heavy work). Requests addressed to unknown endpoints
 // bounce back to the sender as error responses, mirroring a connection
 // refusal; responses to unknown endpoints are dropped and counted.
+//
+// Traffic is counted in registry counters (`net.*`, see NetCounters): the
+// registry a transport is given, else one it owns. stats() reads them.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +21,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "net/message.h"
+#include "obs/metrics.h"
 
 namespace sigma::net {
 
@@ -30,6 +34,28 @@ struct NetStats {
   std::uint64_t responses = 0;
   std::uint64_t errors = 0;
   std::uint64_t dropped = 0;
+};
+
+/// The NetStats fields as registry counters, `net.<field>`.
+struct NetCounters {
+  explicit NetCounters(obs::Registry& registry);
+
+  /// Count one message by kind (requests / responses / errors).
+  void count_kind(MessageKind kind);
+  /// Count one message put on the wire (or handed to a local endpoint).
+  void count_sent(MessageKind kind, std::uint64_t wire_bytes) {
+    messages_sent.inc();
+    bytes_sent.inc(wire_bytes);
+    count_kind(kind);
+  }
+  NetStats read() const;
+
+  obs::Counter& messages_sent;
+  obs::Counter& bytes_sent;
+  obs::Counter& requests;
+  obs::Counter& responses;
+  obs::Counter& errors;
+  obs::Counter& dropped;
 };
 
 class Transport {
@@ -55,7 +81,9 @@ class Transport {
 /// In-process transport: synchronous handler dispatch, full accounting.
 class LoopbackTransport final : public Transport {
  public:
-  LoopbackTransport() = default;
+  /// Counts into `metrics` when given (must outlive the transport).
+  explicit LoopbackTransport(obs::Registry* metrics = nullptr)
+      : metrics_(metrics), net_(*metrics_) {}
 
   EndpointId register_endpoint(Handler handler) override;
   void unregister_endpoint(EndpointId id) override;
@@ -72,12 +100,13 @@ class LoopbackTransport final : public Transport {
   /// handler itself runs with mu_ released.
   bool deliver(Message&& m) SIGMA_EXCLUDES(mu_);
 
-  mutable Mutex mu_{LockRank::kTransport};
+  Mutex mu_{LockRank::kTransport};
   CondVar idle_cv_;
   std::unordered_map<EndpointId, std::shared_ptr<Endpoint>> endpoints_
       SIGMA_GUARDED_BY(mu_);
   EndpointId next_id_ SIGMA_GUARDED_BY(mu_) = 1;
-  NetStats stats_ SIGMA_GUARDED_BY(mu_);
+  obs::RegistryHandle metrics_;
+  NetCounters net_;
 };
 
 }  // namespace sigma::net

@@ -3,19 +3,46 @@
 #include <unordered_map>
 
 namespace sigma {
+namespace {
 
-DedupNode::DedupNode(NodeId id, const DedupNodeConfig& config)
-    : DedupNode(id, config, std::make_unique<MemoryBackend>()) {}
+std::string node_label(NodeId id) { return "node" + std::to_string(id); }
+
+}  // namespace
 
 DedupNode::DedupNode(NodeId id, const DedupNodeConfig& config,
-                     std::unique_ptr<StorageBackend> backend)
+                     obs::Registry* metrics)
+    : DedupNode(id, config,
+                std::make_unique<MemoryBackend>(metrics, node_label(id)),
+                metrics) {}
+
+DedupNode::DedupNode(NodeId id, const DedupNodeConfig& config,
+                     std::unique_ptr<StorageBackend> backend,
+                     obs::Registry* metrics)
     : id_(id),
       config_(config),
       backend_(std::move(backend)),
       containers_(*backend_, config.container_capacity_bytes),
       similarity_index_(config.similarity_index_locks),
       cache_(config.cache_capacity_containers),
-      bloom_(config.bloom_expected_chunks) {}
+      bloom_(config.bloom_expected_chunks),
+      metrics_(metrics) {
+  const std::string node = obs::metric_prefix("node", node_label(id));
+  logical_bytes_ = &metrics_->counter(node + "logical_bytes");
+  physical_bytes_ = &metrics_->counter(node + "physical_bytes");
+  super_chunks_ = &metrics_->counter(node + "super_chunks");
+  duplicate_chunks_ = &metrics_->counter(node + "duplicate_chunks");
+  unique_chunks_ = &metrics_->counter(node + "unique_chunks");
+  disk_index_lookups_ = &metrics_->counter(node + "disk_index_lookups");
+  disk_lookups_avoided_by_bloom_ =
+      &metrics_->counter(node + "disk_lookups_avoided_by_bloom");
+  container_prefetches_ = &metrics_->counter(node + "container_prefetches");
+  const std::string rec = obs::metric_prefix("recovery", node_label(id));
+  containers_recovered_ = &metrics_->counter(rec + "containers_recovered");
+  containers_skipped_ = &metrics_->counter(rec + "containers_skipped");
+  sidecars_repaired_ = &metrics_->counter(rec + "sidecars_repaired");
+  chunks_recovered_ = &metrics_->counter(rec + "chunks_recovered");
+  bytes_recovered_ = &metrics_->counter(rec + "bytes_recovered");
+}
 
 std::size_t DedupNode::resemblance_count(const Handprint& handprint) const {
   return similarity_index_.count_matches(handprint);
@@ -132,18 +159,14 @@ SuperChunkWriteResult DedupNode::write_super_chunk(
     similarity_index_.put(rfp, rfp_location.at(rfp));
   }
 
-  {
-    MutexLock lock(stats_mu_);
-    stats_.logical_bytes += result.duplicate_bytes + result.unique_bytes;
-    stats_.physical_bytes += result.unique_bytes;
-    stats_.super_chunks += 1;
-    stats_.duplicate_chunks += result.duplicate_chunks;
-    stats_.unique_chunks += result.unique_chunks;
-    stats_.disk_index_lookups += result.disk_index_lookups;
-    stats_.disk_lookups_avoided_by_bloom +=
-        result.disk_lookups_avoided_by_bloom;
-    stats_.container_prefetches += result.container_prefetches;
-  }
+  logical_bytes_->inc(result.duplicate_bytes + result.unique_bytes);
+  physical_bytes_->inc(result.unique_bytes);
+  super_chunks_->inc();
+  duplicate_chunks_->inc(result.duplicate_chunks);
+  unique_chunks_->inc(result.unique_chunks);
+  disk_index_lookups_->inc(result.disk_index_lookups);
+  disk_lookups_avoided_by_bloom_->inc(result.disk_lookups_avoided_by_bloom);
+  container_prefetches_->inc(result.container_prefetches);
   return result;
 }
 
@@ -223,10 +246,12 @@ std::size_t DedupNode::rebuild_indexes() {
   if (max_cid) {
     containers_.restore_state(*max_cid + 1, report.bytes_recovered);
   }
-  if (report.bytes_recovered > 0) {
-    MutexLock lock(stats_mu_);
-    stats_.physical_bytes += report.bytes_recovered;
-  }
+  physical_bytes_->inc(report.bytes_recovered);
+  containers_recovered_->inc(report.containers_recovered);
+  containers_skipped_->inc(report.containers_skipped);
+  sidecars_repaired_->inc(report.sidecars_repaired);
+  chunks_recovered_->inc(report.chunks_recovered);
+  bytes_recovered_->inc(report.bytes_recovered);
   recovery_ = report;
   return report.containers_recovered;
 }
@@ -238,8 +263,16 @@ std::optional<Buffer> DedupNode::read_chunk(const Fingerprint& fp) const {
 }
 
 DedupNodeStats DedupNode::stats() const {
-  MutexLock lock(stats_mu_);
-  return stats_;
+  DedupNodeStats s;
+  s.logical_bytes = logical_bytes_->value();
+  s.physical_bytes = physical_bytes_->value();
+  s.super_chunks = super_chunks_->value();
+  s.duplicate_chunks = duplicate_chunks_->value();
+  s.unique_chunks = unique_chunks_->value();
+  s.disk_index_lookups = disk_index_lookups_->value();
+  s.disk_lookups_avoided_by_bloom = disk_lookups_avoided_by_bloom_->value();
+  s.container_prefetches = container_prefetches_->value();
+  return s;
 }
 
 }  // namespace sigma

@@ -29,6 +29,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "node/node_probe.h"
+#include "obs/metrics.h"
 #include "storage/backend.h"
 #include "storage/bloom_filter.h"
 #include "storage/chunk_index.h"
@@ -91,7 +92,8 @@ struct RecoveryReport {
   std::uint64_t bytes_recovered = 0;
 };
 
-/// Cumulative node statistics.
+/// Cumulative node statistics, read back from the node's
+/// `node.node<id>.<field>` counters.
 struct DedupNodeStats {
   std::uint64_t logical_bytes = 0;
   std::uint64_t physical_bytes = 0;
@@ -116,12 +118,18 @@ class DedupNode : public NodeProbe {
   /// written; absent in trace-driven (metadata-only) operation.
   using PayloadProvider = std::function<ByteView(std::size_t chunk_index)>;
 
-  /// Creates a node with its own in-memory backend.
-  DedupNode(NodeId id, const DedupNodeConfig& config);
-
-  /// Creates a node over a caller-supplied backend (e.g. FileBackend).
+  /// Creates a node with its own in-memory backend. The node counts into
+  /// `metrics` (which must outlive it) under the label "node<id>" —
+  /// `node.node<id>.*`, `recovery.node<id>.*`, and the backend's
+  /// `store.node<id>.*` — or, without one, into registries it owns.
   DedupNode(NodeId id, const DedupNodeConfig& config,
-            std::unique_ptr<StorageBackend> backend);
+            obs::Registry* metrics = nullptr);
+
+  /// Creates a node over a caller-supplied backend (e.g. FileBackend),
+  /// which keeps its own I/O counters.
+  DedupNode(NodeId id, const DedupNodeConfig& config,
+            std::unique_ptr<StorageBackend> backend,
+            obs::Registry* metrics = nullptr);
 
   NodeId id() const { return id_; }
 
@@ -172,7 +180,8 @@ class DedupNode : public NodeProbe {
   /// crash, no silent partial index. Missing or corrupt metadata sidecars
   /// of valid containers are regenerated from the container blob.
   /// Returns the number of containers recovered; the full breakdown is
-  /// available from last_recovery().
+  /// available from last_recovery() and is added to the
+  /// `recovery.node<id>.*` counters.
   std::size_t rebuild_indexes();
 
   /// Breakdown of the most recent rebuild_indexes() pass.
@@ -209,8 +218,22 @@ class DedupNode : public NodeProbe {
   // traffic (single-threaded startup) — hence unguarded.
   RecoveryReport recovery_;
 
-  mutable Mutex stats_mu_{LockRank::kNodeStats};
-  DedupNodeStats stats_ SIGMA_GUARDED_BY(stats_mu_);
+  obs::RegistryHandle metrics_;
+  // node.node<id>.*, one per DedupNodeStats field.
+  obs::Counter* logical_bytes_;
+  obs::Counter* physical_bytes_;
+  obs::Counter* super_chunks_;
+  obs::Counter* duplicate_chunks_;
+  obs::Counter* unique_chunks_;
+  obs::Counter* disk_index_lookups_;
+  obs::Counter* disk_lookups_avoided_by_bloom_;
+  obs::Counter* container_prefetches_;
+  // recovery.node<id>.*, one per RecoveryReport field.
+  obs::Counter* containers_recovered_;
+  obs::Counter* containers_skipped_;
+  obs::Counter* sidecars_repaired_;
+  obs::Counter* chunks_recovered_;
+  obs::Counter* bytes_recovered_;
 };
 
 }  // namespace sigma

@@ -206,4 +206,9 @@ MetricsSnapshot Registry::snapshot() const {
   return s;
 }
 
+std::string metric_prefix(const std::string& family,
+                          const std::string& label) {
+  return label.empty() ? family + "." : family + "." + label + ".";
+}
+
 }  // namespace sigma::obs

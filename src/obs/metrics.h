@@ -4,10 +4,13 @@
 // uncontended fetch_add, cheap enough for the transport's per-frame path.
 //
 // Components look their instruments up ONCE (Registry::counter() et al.
-// take a mutex and return a stable reference) and cache the pointer; the
-// hot path is `if (ptr) ptr->inc()`. A component built without a registry
-// pays a single predictable branch per site, which is what the bench
-// overhead gate measures.
+// take a mutex and return a stable reference) and cache the pointer.
+// Counters are the one place a count is kept: a component given no
+// registry records them into one it owns (RegistryHandle), and its
+// stats() accessor reads them back. Histograms and gauges are opt-in —
+// attached only when the caller passes a registry — so their hot path is
+// `if (ptr) ptr->observe(...)`, a single predictable branch when off,
+// which is what the bench overhead gate measures.
 //
 // Snapshots are plain structs (sorted by name, value-comparable) that
 // merge associatively — scrape every daemon of a fleet, merge, and the
@@ -165,8 +168,8 @@ struct MetricsSnapshot {
   /// order yields the same fleet view.
   void merge(const MetricsSnapshot& other);
 
-  /// Insert (or add to) one counter — how struct-based legacy stats
-  /// (NetStats, NodeServiceStats, ...) are folded into a scrape.
+  /// Insert (or add to) one counter — how values kept outside any
+  /// registry (the process-global TraceStats) are folded into a scrape.
   void add_counter(const std::string& name, std::uint64_t value);
   void add_gauge(const std::string& name, std::int64_t value,
                  std::int64_t high_water);
@@ -198,5 +201,27 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_
       SIGMA_GUARDED_BY(mu_);
 };
+
+/// The registry a component keeps its counters in: the caller's when one
+/// is given, else a private one the handle owns — counts are never
+/// optional. (Histograms and gauges stay gated on the caller's registry.)
+class RegistryHandle {
+ public:
+  explicit RegistryHandle(Registry* given)
+      : own_(given ? nullptr : std::make_unique<Registry>()),
+        registry_(given ? given : own_.get()) {}
+
+  Registry& operator*() const { return *registry_; }
+  Registry* operator->() const { return registry_; }
+
+ private:
+  std::unique_ptr<Registry> own_;
+  Registry* registry_;
+};
+
+/// "<family>." or "<family>.<label>." — the name prefix of a labelled
+/// component's instruments (e.g. "svc.node0."), so per-node series stay
+/// distinct in a fleet-wide merge.
+std::string metric_prefix(const std::string& family, const std::string& label);
 
 }  // namespace sigma::obs

@@ -187,8 +187,8 @@ std::uint64_t unix_micros();
 
 /// Fold the tracer's counters into a metrics snapshot as
 /// `trace.traces_started`, `trace.traces_sampled`, `trace.spans_emitted`
-/// and `trace.spans_dropped` — the same scrape-time fold the legacy
-/// struct stats get.
+/// and `trace.spans_dropped`. The tracer is process-global, not owned by
+/// any registry, so every scrape folds its counters in here.
 template <typename Snapshot>
 void fold_trace_stats(Snapshot& snap) {
   const TraceStats t = Tracer::instance().stats();

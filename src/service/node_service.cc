@@ -17,12 +17,19 @@ using net::MessageType;
 NodeService::NodeService(DedupNode& node, net::Transport& transport,
                          ThreadPool& pool, obs::Registry* metrics,
                          const std::string& label)
-    : node_(node), transport_(transport), pool_(pool) {
+    : node_(node),
+      transport_(transport),
+      pool_(pool),
+      metrics_(metrics) {
   // Instruments are cached before the endpoint exists: a TCP peer can
   // address a fresh endpoint id the moment the listener accepts it.
+  const std::string prefix = obs::metric_prefix("svc", label);
+  requests_served_ = &metrics_->counter(prefix + "requests_served");
+  errors_returned_ = &metrics_->counter(prefix + "errors_returned");
+  drain_runs_ = &metrics_->counter(prefix + "drain_runs");
+  fast_requests_served_ = &metrics_->counter(prefix + "fast_requests_served");
+  fast_drain_runs_ = &metrics_->counter(prefix + "fast_drain_runs");
   if (metrics) {
-    const std::string prefix =
-        label.empty() ? std::string("svc.") : "svc." + label + ".";
     depth_gauge_ = &metrics->gauge(prefix + "inbox_depth");
     for (std::uint8_t op = 0; op <= net::kMaxMessageType; ++op) {
       op_time_us_[op] = &metrics->histogram(
@@ -33,10 +40,7 @@ NodeService::NodeService(DedupNode& node, net::Transport& transport,
       [this](Message&& m) { enqueue(std::move(m)); });
 }
 
-NodeService::~NodeService() { retire(); }
-
-void NodeService::retire() {
-  if (retired_.exchange(true)) return;
+NodeService::~NodeService() {
   // Stop deliveries (blocks until in-flight enqueues return), then wait
   // for both lanes' drain tasks to run their inboxes dry.
   transport_.unregister_endpoint(endpoint_);
@@ -98,11 +102,8 @@ void NodeService::enqueue(Message&& m) {
 
 void NodeService::drain(bool fast) {
   auto& lane = fast ? fast_inbox_ : inbox_;
-  {
-    MutexLock lock(mu_);
-    ++stats_.drain_runs;
-    if (fast) ++stats_.fast_drain_runs;
-  }
+  drain_runs_->inc();
+  if (fast) fast_drain_runs_->inc();
   while (true) {
     auto m = lane.try_pop();
     if (!m) break;
@@ -121,11 +122,8 @@ void NodeService::drain(bool fast) {
           op_time_us_[static_cast<std::uint8_t>(m->type)]);
       response = handle(*m);
     }
-    {
-      MutexLock lock(mu_);
-      ++stats_.requests_served;
-      if (fast) ++stats_.fast_requests_served;
-    }
+    requests_served_->inc();
+    if (fast) fast_requests_served_->inc();
     transport_.send(std::move(response));
   }
   {
@@ -215,18 +213,13 @@ Message NodeService::handle(const Message& request) {
         return Message::response_to(request, Buffer{});
       }
       case MessageType::kStatsSnapshot: {
-        // The provider covers the whole hosting process; every endpoint
-        // of a daemon answers with the same daemon-wide snapshot. Copy it
-        // out first — invoking under mu_ would reacquire kService rank in
-        // the sibling services it scrapes.
-        SnapshotProvider provider;
-        {
-          MutexLock lock(mu_);
-          provider = snapshot_provider_;
-        }
-        return Message::response_to(
-            request, obs::encode_metrics_snapshot(
-                         provider ? provider() : obs::MetricsSnapshot{}));
+        // The registry is the hosting process's (see the constructor), so
+        // every endpoint of a daemon answers with the same daemon-wide
+        // snapshot.
+        obs::MetricsSnapshot snap = metrics_->snapshot();
+        obs::fold_trace_stats(snap);
+        return Message::response_to(request,
+                                    obs::encode_metrics_snapshot(snap));
       }
       case MessageType::kTraceDump: {
         // Like kStatsSnapshot, the answer covers the whole hosting
@@ -258,15 +251,19 @@ Message NodeService::handle(const Message& request) {
     }
     return Message::error_to(request, "service: unknown operation");
   } catch (const std::exception& e) {
-    MutexLock lock(mu_);
-    ++stats_.errors_returned;
+    errors_returned_->inc();
     return Message::error_to(request, e.what());
   }
 }
 
 NodeServiceStats NodeService::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
+  NodeServiceStats s;
+  s.requests_served = requests_served_->value();
+  s.errors_returned = errors_returned_->value();
+  s.drain_runs = drain_runs_->value();
+  s.fast_requests_served = fast_requests_served_->value();
+  s.fast_drain_runs = fast_drain_runs_->value();
+  return s;
 }
 
 }  // namespace sigma::service

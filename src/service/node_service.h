@@ -22,9 +22,7 @@
 // non-empty), so a large cluster idles without pinning pool threads.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/mutex.h"
@@ -38,6 +36,7 @@
 
 namespace sigma::service {
 
+/// Read back from the service's `svc.[<label>.]<field>` counters.
 struct NodeServiceStats {
   std::uint64_t requests_served = 0;
   std::uint64_t errors_returned = 0;
@@ -49,30 +48,20 @@ struct NodeServiceStats {
 
 class NodeService {
  public:
-  /// Answers a kStatsSnapshot request. The hosting process (NodeServer,
-  /// Cluster) installs one that covers the whole process — transport,
-  /// every node, storage — so scraping any endpoint yields the full
-  /// process view; without one the service answers with just its own
-  /// registry-backed metrics (empty if no registry either).
-  using SnapshotProvider = std::function<obs::MetricsSnapshot()>;
-
   /// Binds the node on `transport` and serves it from `pool`. The node,
   /// transport and pool must outlive the service (as must `metrics` when
   /// given). `label` tags this service's metric names (e.g. "node0"), so
-  /// per-node series survive a fleet-wide merge.
+  /// per-node series survive a fleet-wide merge. A kStatsSnapshot request
+  /// is answered from `metrics` — the hosting process's registry, shared
+  /// by its transport, nodes and storage, so any endpoint yields the
+  /// whole process view — or, without one, from the registry the service
+  /// owns for its own counters.
   NodeService(DedupNode& node, net::Transport& transport, ThreadPool& pool,
               obs::Registry* metrics = nullptr, const std::string& label = {});
 
-  /// Unbinds the endpoint and waits for the in-flight drain to finish.
+  /// Stops serving: unbinds the endpoint (blocks until in-flight
+  /// deliveries return) and waits for both lanes to run dry.
   ~NodeService();
-
-  /// Stop serving: unbind the endpoint (blocks until in-flight deliveries
-  /// return) and wait for both lanes to run dry. Idempotent; the
-  /// destructor calls it. A host with several services must retire ALL of
-  /// them before destroying ANY — a still-serving sibling's snapshot
-  /// provider walks every service, so none may be torn down while any
-  /// other can still execute a request.
-  void retire() SIGMA_EXCLUDES(mu_);
 
   NodeService(const NodeService&) = delete;
   NodeService& operator=(const NodeService&) = delete;
@@ -83,15 +72,6 @@ class NodeService {
   DedupNode& node() { return node_; }
 
   NodeServiceStats stats() const;
-
-  /// Install the process-wide stats provider (see SnapshotProvider).
-  /// Safe while traffic is flowing (scrapes racing the install see the
-  /// old provider or the new one); the provider must be thread-safe and
-  /// must only read state fully constructed before this call.
-  void set_snapshot_provider(SnapshotProvider provider) SIGMA_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    snapshot_provider_ = std::move(provider);
-  }
 
  private:
   /// Read-only operations ride the probe fast lane.
@@ -107,33 +87,31 @@ class NodeService {
   net::Transport& transport_;
   ThreadPool& pool_;
 
-  /// Cached instruments (null without a registry): inbox depth across
-  /// both lanes, and per-op service time (decode + execute + encode).
+  obs::RegistryHandle metrics_;
+  obs::Counter* requests_served_;
+  obs::Counter* errors_returned_;
+  obs::Counter* drain_runs_;
+  obs::Counter* fast_requests_served_;
+  obs::Counter* fast_drain_runs_;
+  /// Opt-in instruments (null without a caller's registry): inbox depth
+  /// across both lanes, and per-op service time (decode + execute +
+  /// encode).
   obs::Gauge* depth_gauge_ = nullptr;
   obs::Histogram* op_time_us_[net::kMaxMessageType + 1] = {};
 
   net::EndpointId endpoint_ = 0;
 
   /// Serializes DedupNode access across the two lanes. Outermost rank:
-  /// held across handle(), which reaches the service mu_ (error stats),
-  /// every storage lock, and — via the kStatsSnapshot provider — the
-  /// metrics registry and sibling services' stats.
+  /// held across handle(), which reaches every storage lock and, for a
+  /// kStatsSnapshot, the metrics and trace registries.
   Mutex node_mu_{LockRank::kNodeSerial};
 
-  /// retire() ran (dtor-path threads only contend on the exchange).
-  std::atomic<bool> retired_{false};
-
-  mutable Mutex mu_{LockRank::kService};
+  Mutex mu_{LockRank::kService};
   CondVar idle_cv_;
   net::Channel<net::Message> inbox_;       // writes + flushes, FIFO
   net::Channel<net::Message> fast_inbox_;  // probes, duplicate tests, reads
   bool draining_ SIGMA_GUARDED_BY(mu_) = false;
   bool fast_draining_ SIGMA_GUARDED_BY(mu_) = false;
-  NodeServiceStats stats_ SIGMA_GUARDED_BY(mu_);
-  /// Copied out under mu_ and invoked unlocked: the provider reaches the
-  /// registry and sibling services' stats (same kService rank), so it
-  /// must never run while this service's mu_ is held.
-  SnapshotProvider snapshot_provider_ SIGMA_GUARDED_BY(mu_);
 };
 
 }  // namespace sigma::service

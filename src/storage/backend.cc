@@ -13,6 +13,25 @@
 
 namespace sigma {
 
+StorageBackend::StorageBackend(obs::Registry* metrics,
+                               const std::string& label)
+    : metrics_(metrics) {
+  const std::string prefix = obs::metric_prefix("store", label);
+  reads_ = &metrics_->counter(prefix + "reads");
+  writes_ = &metrics_->counter(prefix + "writes");
+  bytes_read_ = &metrics_->counter(prefix + "bytes_read");
+  bytes_written_ = &metrics_->counter(prefix + "bytes_written");
+}
+
+IoStats StorageBackend::stats() const {
+  IoStats s;
+  s.reads = reads_->value();
+  s.writes = writes_->value();
+  s.bytes_read = bytes_read_->value();
+  s.bytes_written = bytes_written_->value();
+  return s;
+}
+
 void MemoryBackend::put(const std::string& key, ByteView data) {
   {
     MutexLock lock(mu_);
@@ -82,10 +101,9 @@ void fsync_path(const std::filesystem::path& path, bool directory) {
 
 FileBackend::FileBackend(std::filesystem::path dir, bool fsync,
                          obs::Registry* metrics, const std::string& label)
-    : dir_(std::move(dir)), fsync_(fsync) {
+    : StorageBackend(metrics, label), dir_(std::move(dir)), fsync_(fsync) {
   if (metrics) {
-    const std::string prefix =
-        label.empty() ? std::string("store.") : "store." + label + ".";
+    const std::string prefix = obs::metric_prefix("store", label);
     put_us_ = &metrics->histogram(prefix + "put_us");
     fsync_us_ = &metrics->histogram(prefix + "fsync_us");
   }

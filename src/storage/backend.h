@@ -2,7 +2,9 @@
 // on-disk index shards). Two implementations:
 //   * MemoryBackend — for tests and the trace-driven cluster simulation;
 //   * FileBackend   — real files under a directory, used by the examples.
-// Both count I/O so benches can report disk-access behaviour uniformly.
+// Both count I/O in `store.[<label>.]{reads,writes,bytes_read,
+// bytes_written}` registry counters, so benches and scrapes report
+// disk-access behaviour uniformly.
 #pragma once
 
 #include <atomic>
@@ -22,7 +24,7 @@
 
 namespace sigma {
 
-/// Monotonically updated I/O counters. Plain struct-of-counters snapshot.
+/// Readout of a backend's I/O counters.
 struct IoStats {
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
@@ -34,6 +36,10 @@ struct IoStats {
 /// Thread-safe.
 class StorageBackend {
  public:
+  /// Counts into `metrics` under `label` when given (the registry must
+  /// outlive the backend), else into a registry the backend owns.
+  explicit StorageBackend(obs::Registry* metrics = nullptr,
+                          const std::string& label = {});
   virtual ~StorageBackend() = default;
 
   virtual void put(const std::string& key, ByteView data) = 0;
@@ -43,31 +49,33 @@ class StorageBackend {
   virtual void remove(const std::string& key) = 0;
   virtual std::vector<std::string> keys() = 0;
 
-  IoStats stats() const SIGMA_EXCLUDES(stats_mu_) {
-    MutexLock lock(stats_mu_);
-    return stats_;
-  }
+  IoStats stats() const;
 
  protected:
-  void record_read(std::uint64_t bytes) SIGMA_EXCLUDES(stats_mu_) {
-    MutexLock lock(stats_mu_);
-    ++stats_.reads;
-    stats_.bytes_read += bytes;
+  void record_read(std::uint64_t bytes) {
+    reads_->inc();
+    bytes_read_->inc(bytes);
   }
-  void record_write(std::uint64_t bytes) SIGMA_EXCLUDES(stats_mu_) {
-    MutexLock lock(stats_mu_);
-    ++stats_.writes;
-    stats_.bytes_written += bytes;
+  void record_write(std::uint64_t bytes) {
+    writes_->inc();
+    bytes_written_->inc(bytes);
   }
 
  private:
-  mutable Mutex stats_mu_{LockRank::kStorageStats};
-  IoStats stats_ SIGMA_GUARDED_BY(stats_mu_);
+  obs::RegistryHandle metrics_;
+  obs::Counter* reads_;
+  obs::Counter* writes_;
+  obs::Counter* bytes_read_;
+  obs::Counter* bytes_written_;
 };
 
 /// In-memory backend.
 class MemoryBackend final : public StorageBackend {
  public:
+  explicit MemoryBackend(obs::Registry* metrics = nullptr,
+                         const std::string& label = {})
+      : StorageBackend(metrics, label) {}
+
   void put(const std::string& key, ByteView data) override;
   std::optional<Buffer> get(const std::string& key) override;
   bool exists(const std::string& key) override;
@@ -91,10 +99,11 @@ class MemoryBackend final : public StorageBackend {
 /// sealed container survives power loss, not just process death.
 class FileBackend final : public StorageBackend {
  public:
-  /// With a registry (must outlive the backend) each put records its
-  /// whole-call latency (`store.[<label>.]put_us`) and, when fsync is
-  /// enabled, the durability portion — payload fsync plus directory
-  /// fsync — separately (`store.[<label>.]fsync_us`).
+  /// Counts I/O like any backend. With a registry (must outlive the
+  /// backend) each put also records its whole-call latency
+  /// (`store.[<label>.]put_us`) and, when fsync is enabled, the
+  /// durability portion — payload fsync plus directory fsync — separately
+  /// (`store.[<label>.]fsync_us`).
   explicit FileBackend(std::filesystem::path dir, bool fsync = false,
                        obs::Registry* metrics = nullptr,
                        const std::string& label = {});
@@ -117,7 +126,7 @@ class FileBackend final : public StorageBackend {
 
   std::filesystem::path dir_;
   const bool fsync_;
-  /// Cached instruments; null without a registry.
+  /// Opt-in instruments; null without a caller's registry.
   obs::Histogram* put_us_ = nullptr;
   obs::Histogram* fsync_us_ = nullptr;
   /// Makes each put's temp file unique, so the slow write+fsync phase

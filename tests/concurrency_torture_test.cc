@@ -15,8 +15,6 @@
 #include "net/channel.h"
 #include "net/rpc.h"
 #include "net/transport.h"
-#include "obs/metrics.h"
-#include "obs/metrics_wire.h"
 #include "service/node_client.h"
 #include "service/node_service.h"
 #include "service/wire_protocol.h"
@@ -365,44 +363,6 @@ TEST(NodeServiceTortureTest, TeardownRacingFinalDrainIsClean) {
       // idle notify — before the object goes away.
     }
   }
-}
-
-TEST(NodeServiceTortureTest, SnapshotProviderInstallRacingScrapes) {
-  // Regression: set_snapshot_provider() used to write the provider
-  // unlocked while handle() read it from a pool thread — a daemon could
-  // crash when a stats scrape arrived during startup. Installs must be
-  // safe under live kStatsSnapshot traffic: a racing scrape sees either
-  // the old provider or the new one, never a torn std::function.
-  DedupNode node(0, DedupNodeConfig{});
-  net::LoopbackTransport transport;
-  ThreadPool pool(2);
-  obs::Registry registry;
-  service::NodeService service(node, transport, pool);
-  net::RpcEndpoint rpc(transport);
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> scrapes{0};
-  std::vector<std::thread> scrapers;
-  for (int s = 0; s < 3; ++s) {
-    scrapers.emplace_back([&] {
-      while (!stop.load()) {
-        const Buffer body = rpc.call_sync(
-            service.endpoint(), net::MessageType::kStatsSnapshot, Buffer{},
-            5000ms);
-        (void)obs::decode_metrics_snapshot(ByteView{body.data(), body.size()});
-        scrapes.fetch_add(1);
-      }
-    });
-  }
-  for (int i = 0; i < 200; ++i) {
-    service.set_snapshot_provider(
-        [&registry] { return registry.snapshot(); });
-    service.set_snapshot_provider({});
-  }
-  while (scrapes.load() < 50) std::this_thread::yield();
-  stop.store(true);
-  for (auto& t : scrapers) t.join();
-  EXPECT_GE(scrapes.load(), 50);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Metrics plane: histogram bucket boundaries and percentile estimates
 // (against a sorted-vector oracle), concurrent-update exactness, snapshot
 // merge algebra, the kStatsSnapshot wire codec (round trip, truncation at
-// every byte, hostile counts), and a live TCP-fleet scrape cross-checked
-// against both the in-process registries and the client's own counters.
+// every byte, hostile counts), a live TCP-fleet scrape cross-checked
+// against both the in-process registries and the client's own counters,
+// and one counter set across loopback, node-daemon and registry scrapes.
 // Plus the handshake version gate: a peer speaking protocol v2 must be
 // refused at HELLO after the v3 bump.
 #include <gtest/gtest.h>
@@ -13,11 +14,14 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/random.h"
+#include "ctrl/registry_server.h"
 #include "net/rpc.h"
 #include "net/tcp/frame.h"
 #include "net/tcp/tcp_transport.h"
@@ -404,7 +408,94 @@ TEST(StatsScrapeTest, TcpFleetScrapeMatchesInProcessRegistries) {
                     Buffer{}, 10s);
   const MetricsSnapshot second =
       decode_metrics_snapshot(ByteView{again.data(), again.size()});
-  EXPECT_NE(second.find_counter("tcp.frames_received"), nullptr);
+  EXPECT_NE(second.find_counter("transport.reactor0.frames"), nullptr);
+}
+
+/// The counter names of `snap` that start with one of `prefixes`.
+std::set<std::string> counter_names(const MetricsSnapshot& snap,
+                                    std::initializer_list<const char*> prefixes) {
+  std::set<std::string> names;
+  for (const auto& c : snap.counters) {
+    for (const char* p : prefixes) {
+      if (c.name.rfind(p, 0) == 0) names.insert(c.name);
+    }
+  }
+  return names;
+}
+
+TEST(StatsScrapeTest, EveryFleetShapeScrapesTheSameCounters) {
+  // One counter system: an in-process loopback fleet, a node daemon and
+  // the registry daemon all answer kStatsSnapshot from the registry
+  // their components count into, so they carry the same names.
+  const Dataset trace = scrape_trace();
+  ClusterConfig cfg;
+  cfg.num_nodes = 2;
+  cfg.scheme = RoutingScheme::kSigma;
+  cfg.super_chunk_bytes = 64 * 1024;
+  cfg.transport.rpc_timeout_ms = 20000;
+
+  Registry registry;
+  ClusterConfig loop_cfg = cfg;
+  loop_cfg.transport.mode = TransportMode::kLoopback;
+  loop_cfg.metrics = &registry;
+  Cluster loopback(loop_cfg);
+  loopback.backup_dataset(trace);
+  (void)loopback.report();  // settles the write pipeline
+  const std::uint64_t loop_requests = loopback.net_stats().requests;
+  ASSERT_GT(loop_requests, 0u);
+  const MetricsSnapshot loop_scrape = loopback.stats_snapshot(0);
+
+  // Every request was served by exactly one node service; the scrape
+  // itself is counted only after its snapshot is taken.
+  std::uint64_t served = 0;
+  for (const auto& c : loop_scrape.counters) {
+    if (c.name.rfind("svc.", 0) == 0 &&
+        c.name.find(".requests_served") != std::string::npos) {
+      served += c.value;
+    }
+  }
+  EXPECT_EQ(served, loop_requests);
+
+  server::NodeServerConfig server_cfg;
+  server_cfg.listen = {"127.0.0.1", 0};
+  server_cfg.num_nodes = 2;
+  server::NodeServer server(server_cfg);
+  ClusterConfig tcp_cfg = cfg;
+  tcp_cfg.transport.mode = TransportMode::kTcp;
+  for (std::size_t i = 0; i < server.num_nodes(); ++i) {
+    tcp_cfg.transport.tcp_nodes.push_back(
+        {{"127.0.0.1", server.port()}, server.endpoint(i)});
+  }
+  Cluster tcp(tcp_cfg);
+  tcp.backup_dataset(trace);
+  (void)tcp.report();
+  const MetricsSnapshot daemon_scrape = tcp.stats_snapshot(1);
+
+  const auto fleet = {"net.", "svc.node", "node.node", "store.node"};
+  const std::set<std::string> loop_names = counter_names(loop_scrape, fleet);
+  EXPECT_EQ(loop_names, counter_names(daemon_scrape, fleet));
+  for (const char* name :
+       {"net.dropped", "svc.node1.requests_served", "node.node1.unique_chunks",
+        "store.node0.bytes_written"}) {
+    EXPECT_EQ(loop_names.count(name), 1u) << name;
+  }
+
+  // The registry daemon's transport counts into its registry too: its
+  // scrape carries the node daemon's full net.* / tcp.* set.
+  ctrl::RegistryServer reg({});
+  net::TcpTransportConfig scrape_cfg;
+  scrape_cfg.remote_endpoints.emplace(net::kRegistryEndpoint,
+                                      net::TcpAddress{"127.0.0.1", reg.port()});
+  net::TcpTransport scrape_transport(std::move(scrape_cfg));
+  net::RpcEndpoint rpc(scrape_transport);
+  const Buffer body = rpc.call_sync(
+      net::kRegistryEndpoint, net::MessageType::kStatsSnapshot, Buffer{}, 10s);
+  const MetricsSnapshot reg_scrape =
+      decode_metrics_snapshot(ByteView{body.data(), body.size()});
+  const std::set<std::string> daemon_wire =
+      counter_names(daemon_scrape, {"net.", "tcp."});
+  EXPECT_EQ(counter_names(reg_scrape, {"net.", "tcp."}), daemon_wire);
+  EXPECT_EQ(daemon_wire.count("tcp.connections_established"), 1u);
 }
 
 // --- Handshake version gate ---------------------------------------------------

@@ -22,7 +22,7 @@
 // SIGTERM loses nothing and only a hard kill loses unsealed chunks.
 //
 // Observability: SIGUSR1 dumps the daemon-wide metrics snapshot (every
-// counter, gauge and latency histogram, plus the legacy struct stats) to
+// counter, gauge and latency histogram, plus the tracer's counters) to
 // stderr without disturbing service; the same dump is printed once more
 // on clean shutdown. SIGUSR2 writes the trace flight recorder (the
 // per-thread span rings, see obs/trace.h) to the --trace-dump file.
