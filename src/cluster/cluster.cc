@@ -21,6 +21,13 @@
 #include "service/wire_protocol.h"
 
 namespace sigma {
+namespace {
+
+/// Endpoint ids a registry-wired client leases. One covers the cluster's
+/// single RpcEndpoint; the rest is slack for per-stream endpoints.
+constexpr std::uint32_t kLeaseEndpoints = 16;
+
+}  // namespace
 
 /// Everything the message-passing deployment adds on top of the nodes:
 /// the transport, the shared client endpoint with its node stubs, and the
@@ -76,7 +83,6 @@ struct Cluster::TransportRuntime {
         pipeline_depth(std::max<std::size_t>(1, config.pipeline_depth)) {
     net::TcpTransportConfig tcp;
     tcp.endpoint_base = config.tcp_client_endpoint_base;
-    tcp.reactors = config.tcp_reactors;
     tcp.metrics = metrics;
     for (const auto& node : config.tcp_nodes) {
       tcp.remote_endpoints.emplace(node.endpoint, node.address);
@@ -191,8 +197,7 @@ Cluster::Cluster(const ClusterConfig& config)
     registry_client_ = std::make_unique<ctrl::RegistryClient>(rc);
     const service::LeaseEndpointsReply lease =
         registry_client_->lease_endpoints(
-            std::max<std::uint32_t>(1,
-                                    config_.transport.registry_lease_endpoints),
+            kLeaseEndpoints,
             [this](const service::FleetView& v) { on_fleet_update(v); });
     if (lease.view.nodes.empty()) {
       throw std::runtime_error(
@@ -211,7 +216,7 @@ Cluster::Cluster(const ClusterConfig& config)
     }
     SIGMA_LOG_INFO << "cluster: leased client endpoints base "
                    << lease.endpoint_base << " (+"
-                   << config_.transport.registry_lease_endpoints
+                   << kLeaseEndpoints
                    << "), fleet view v" << lease.view.version << " with "
                    << config_.num_nodes << " nodes";
   }
@@ -261,8 +266,7 @@ Cluster::Cluster(const ClusterConfig& config)
                                             config_.metrics));
     }
   }
-  if (config_.scheme == RoutingScheme::kExtremeBinning &&
-      config_.eb_bin_dedup) {
+  if (config_.scheme == RoutingScheme::kExtremeBinning) {
     eb_state_.resize(config_.num_nodes);
   }
   if (config_.transport.mode == TransportMode::kLoopback) {
@@ -343,7 +347,7 @@ void Cluster::backup(const TraceBackup& backup, StreamId stream) {
       backup_super_chunk_stream(backup, stream);
       break;
     case RoutingGranularity::kFile:
-      backup_files_extreme_binning(backup, stream);
+      backup_files_extreme_binning(backup);
       break;
     case RoutingGranularity::kChunk:
       backup_chunk_dht(backup, stream);
@@ -389,8 +393,7 @@ void Cluster::backup_super_chunk_stream(const TraceBackup& backup,
   dispatch(builder.flush());
 }
 
-void Cluster::backup_files_extreme_binning(const TraceBackup& backup,
-                                           StreamId stream) {
+void Cluster::backup_files_extreme_binning(const TraceBackup& backup) {
   for (const auto& file : backup.files) {
     if (file.chunks.empty()) continue;
     obs::SpanScope trace(obs::SpanScope::Root{}, "sc.place");
@@ -400,21 +403,15 @@ void Cluster::backup_files_extreme_binning(const TraceBackup& backup,
     messages_.after_routing += file.chunks.size();
     logical_bytes_ += file.logical_bytes();
 
-    if (config_.eb_bin_dedup) {
-      // Published Extreme Binning: the file deduplicates only against the
-      // bin keyed by its representative fingerprint.
-      const std::uint64_t rep =
-          compute_handprint(file.chunks, 1).front().prefix64();
-      auto& bin = eb_state_[target].bins[rep];
-      for (const auto& chunk : file.chunks) {
-        if (bin.insert(chunk.fp).second) {
-          eb_state_[target].stored_bytes += chunk.size;
-        }
+    // Published Extreme Binning: the file deduplicates only against the
+    // bin keyed by its representative fingerprint.
+    const std::uint64_t rep =
+        compute_handprint(file.chunks, 1).front().prefix64();
+    auto& bin = eb_state_[target].bins[rep];
+    for (const auto& chunk : file.chunks) {
+      if (bin.insert(chunk.fp).second) {
+        eb_state_[target].stored_bytes += chunk.size;
       }
-    } else {
-      SuperChunk sc;
-      sc.chunks = file.chunks;
-      submit_write(target, stream, sc);
     }
   }
 }

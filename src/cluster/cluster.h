@@ -73,9 +73,6 @@ struct TransportConfig {
   /// kTcp only: this client's endpoint id range. Give each client process
   /// sharing a fleet a distinct base.
   net::EndpointId tcp_client_endpoint_base = net::kClientEndpointBase;
-  /// kTcp only: transport event-loop shards (reactors). 0 = auto
-  /// (min(hardware_concurrency, 4)); see TcpTransportConfig::reactors.
-  std::uint32_t tcp_reactors = 0;
   /// kTcp only: fetch the node map from a fleet registry and LEASE this
   /// client's endpoint range from it, instead of wiring tcp_nodes /
   /// tcp_client_endpoint_base by hand (both are overwritten from the
@@ -85,9 +82,6 @@ struct TransportConfig {
   /// serving from the view cached here at construction.
   std::optional<net::TcpAddress> registry;
   std::uint32_t registry_timeout_ms = 5000;
-  /// Endpoint ids to lease. One covers the cluster's single RpcEndpoint;
-  /// the default leaves slack for future per-stream endpoints.
-  std::uint32_t registry_lease_endpoints = 16;
 };
 
 struct ClusterConfig {
@@ -103,10 +97,6 @@ struct ClusterConfig {
   /// std::to_string(i)); }` for durable on-disk containers. Ignored in
   /// kTcp mode, where the daemons own their backends.
   std::function<std::unique_ptr<StorageBackend>(NodeId)> backend_factory;
-  /// Extreme Binning deduplicates a file only against its bin (the
-  /// published design). Disable to give EB exact per-node dedup (used as
-  /// an ablation upper bound).
-  bool eb_bin_dedup = true;
   /// Optional metrics plane (must outlive the cluster). Instruments the
   /// whole client-side stack — routing decisions (latency histogram,
   /// decision counter, probe-message volume), the RPC endpoint, the
@@ -235,8 +225,7 @@ class Cluster {
  private:
   void backup_super_chunk_stream(const TraceBackup& backup, StreamId stream)
       SIGMA_REQUIRES(route_mu_);
-  void backup_files_extreme_binning(const TraceBackup& backup,
-                                    StreamId stream)
+  void backup_files_extreme_binning(const TraceBackup& backup)
       SIGMA_REQUIRES(route_mu_);
   void backup_chunk_dht(const TraceBackup& backup, StreamId stream)
       SIGMA_REQUIRES(route_mu_);

@@ -39,7 +39,7 @@ namespace sigma {
 
 /// Global lock-acquisition order (see file comment). Lower values are
 /// acquired first; a thread holding rank r may only acquire ranks > r.
-/// Gaps leave room for future subsystems (multi-reactor shards, GC).
+/// Gaps leave room for future subsystems (GC, compaction).
 enum class LockRank : int {
   /// Unranked mutexes (tests, examples, short-lived ad-hoc state) are
   /// exempt from order checking and never enter the held-lock stack.
@@ -73,11 +73,9 @@ enum class LockRank : int {
   kDirector = 56,
 
   // ---- Message plane (never held while calling into the layers above).
-  //      The TCP transport is sharded: the endpoint table and the
-  //      learned-route directory are transport-global and rank below the
-  //      per-reactor shard locks, so a reactor may consult them only
-  //      after releasing its own mutex (and never holds two shard
-  //      mutexes — every connection belongs to exactly one reactor). ----
+  //      The TCP transport's endpoint table and learned-route directory
+  //      rank below its event loop's mutex, so the loop may consult them
+  //      only after releasing its own mutex. ----
   kTransportEndpoints = 58,  // TcpTransport::ep_mu_ — endpoint table
   kTransportRoutes = 59,     // TcpTransport::route_mu_ — learned routes
   kTransport = 60,    // Reactor::mu_ / LoopbackTransport mu_

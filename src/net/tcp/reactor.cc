@@ -20,17 +20,6 @@ namespace {
 /// must never block waiting for one to drain.
 thread_local bool t_on_reactor_thread = false;
 
-/// Header-only copy of a message (for bounce bookkeeping).
-Message header_of(const Message& m) {
-  Message h;
-  h.type = m.type;
-  h.kind = m.kind;
-  h.correlation_id = m.correlation_id;
-  h.src = m.src;
-  h.dst = m.dst;
-  return h;
-}
-
 std::int64_t steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -65,6 +54,16 @@ int desired_events(const TcpConn& conn) {
 }
 
 }  // namespace
+
+Message header_of(const Message& m) {
+  Message h;
+  h.type = m.type;
+  h.kind = m.kind;
+  h.correlation_id = m.correlation_id;
+  h.src = m.src;
+  h.dst = m.dst;
+  return h;
+}
 
 OutFrame make_out_frame(Message&& m) {
   OutFrame f;
@@ -116,13 +115,10 @@ void consume_sent(std::deque<OutFrame>& queue, std::size_t& offset,
   }
 }
 
-Reactor::Reactor(ReactorHost& host, const TcpTransportConfig& config,
-                 std::size_t index, ReactorInstruments instruments)
-    : host_(host),
-      config_(config),
-      index_(index),
-      index_str_(std::to_string(index)),
-      ins_(instruments),
+Reactor::Reactor(TcpTransport& transport)
+    : transport_(transport),
+      config_(transport.config_),
+      counters_(transport.counters_),
       epoll_fd_(checked_fd(::epoll_create1(EPOLL_CLOEXEC), "epoll_create1")),
       wake_fd_(checked_fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC),
                           "eventfd")) {
@@ -135,33 +131,27 @@ Reactor::Reactor(ReactorHost& host, const TcpTransportConfig& config,
 }
 
 Reactor::~Reactor() {
-  if (thread_.joinable()) {
-    request_stop();
-    thread_.join();
-  }
+  if (thread_.joinable()) stop();
 }
 
 void Reactor::start() {
   thread_ = std::thread([this] { loop(); });
 }
 
-void Reactor::request_stop() {
+void Reactor::stop() {
   {
     MutexLock lock(mu_);
     stop_ = true;
   }
   wake();
   write_cv_.notify_all();
-}
-
-void Reactor::join() {
   if (thread_.joinable()) thread_.join();
 }
 
 bool Reactor::on_reactor_thread() { return t_on_reactor_thread; }
 
 void Reactor::wake() {
-  ins_.wakeups->inc();
+  counters_.wakeups.inc();
   const std::uint64_t one = 1;
   (void)!::write(wake_fd_.get(), &one, sizeof(one));
 }
@@ -176,7 +166,7 @@ void Reactor::drain_wake_fd() {
 void Reactor::push_frame(const ConnPtr& conn, Message&& m,
                          const Message& header, bool track) {
   OutFrame frame = make_out_frame(std::move(m));
-  ins_.tcp->net.count_sent(header.kind, frame.wire_size());
+  counters_.net.count_sent(header.kind, frame.wire_size());
   // Track our own requests until their response arrives, so a dead
   // connection fails them instead of leaving the caller to time out.
   if (track) {
@@ -186,8 +176,8 @@ void Reactor::push_frame(const ConnPtr& conn, Message&& m,
   }
   conn->outbox_bytes += frame.wire_size();
   conn->outbox.push_back(std::move(frame));
-  if (ins_.write_queue_bytes) {
-    ins_.write_queue_bytes->set(
+  if (transport_.m_write_queue_bytes_) {
+    transport_.m_write_queue_bytes_->set(
         static_cast<std::int64_t>(conn->outbox_bytes));
   }
 }
@@ -208,7 +198,7 @@ ConnPtr Reactor::enqueue_outbound(
   if (stop_) return nullptr;
   auto& slot = outbound_[key];
   if (!slot) {
-    slot = std::make_shared<TcpConn>(config_.max_body_bytes, this);
+    slot = std::make_shared<TcpConn>(config_.max_body_bytes);
     slot->outbound = true;
     slot->address = dial;
   }
@@ -225,7 +215,7 @@ bool Reactor::outbound_exists(
 void Reactor::backpressure_wait(const ConnPtr& conn) {
   MutexLock lock(mu_);
   if (!stop_ && conn->outbox_bytes > config_.write_high_watermark) {
-    ins_.tcp->backpressure_stalls.inc();
+    counters_.backpressure_stalls.inc();
   }
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -250,16 +240,6 @@ void Reactor::backpressure_wait(const ConnPtr& conn) {
   }
 }
 
-void Reactor::adopt_inbound(ConnPtr conn) {
-  {
-    MutexLock lock(mu_);
-    if (stop_) return;  // fd closes via RAII
-    ins_.tcp->connections_accepted.inc();
-    pending_inbound_.push_back(std::move(conn));
-  }
-  wake();
-}
-
 // ---- Event loop ------------------------------------------------------------
 
 int Reactor::prepare_iteration(std::vector<ConnPtr>& to_dial,
@@ -267,12 +247,6 @@ int Reactor::prepare_iteration(std::vector<ConnPtr>& to_dial,
   int timeout_ms = 200;
   MutexLock lock(mu_);
   if (stop_) return -1;
-
-  // Adopt connections handed over by the accepting reactor.
-  if (!pending_inbound_.empty()) {
-    for (auto& conn : pending_inbound_) inbound_.push_back(std::move(conn));
-    pending_inbound_.clear();
-  }
 
   // Reap finished inbound connections.
   inbound_.erase(std::remove_if(inbound_.begin(), inbound_.end(),
@@ -346,11 +320,12 @@ void Reactor::epoll_update(const ConnPtr& conn) {
 
 void Reactor::loop() {
   t_on_reactor_thread = true;
-  if (listen_fd_ >= 0) {
+  const int listen_fd = transport_.listen_fd_.get();  // -1: not listening
+  if (listen_fd >= 0) {
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.fd = listen_fd_;
-    (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, listen_fd_, &ev);
+    ev.data.fd = listen_fd;
+    (void)::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, listen_fd, &ev);
   }
 
   std::array<epoll_event, 256> events;
@@ -365,8 +340,8 @@ void Reactor::loop() {
     }
     for (const auto& conn : to_dial) loop_dial(conn);
 
-    // Outside mu_: the route directory ranks below the shard mutex.
-    host_.sweep_stale_routes();
+    // Outside mu_: the route directory ranks below the loop mutex.
+    transport_.sweep_stale_routes();
 
     // Reconcile every connection's registration with its current
     // interest. New fds only enter the epoll set here — never while an
@@ -388,8 +363,8 @@ void Reactor::loop() {
         drain_wake_fd();
         continue;
       }
-      if (listen_fd_ >= 0 && fd == listen_fd_) {
-        loop_accept();
+      if (listen_fd >= 0 && fd == listen_fd) {
+        loop_accept(listen_fd);
         continue;
       }
       const auto it = by_fd_.find(fd);
@@ -425,20 +400,27 @@ void Reactor::handle_conn_events(const ConnPtr& conn, std::uint32_t events) {
   if ((events & EPOLLIN) && conn->fd.valid()) loop_readable(conn);
 }
 
-void Reactor::loop_accept() {
+void Reactor::loop_accept(int listen_fd) {
   while (true) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;  // EAGAIN or transient error: next wait retries
-    // The sharding layer hashes the peer and hands the connection to its
-    // reactor (possibly this one, via the same pending queue).
-    host_.adopt_accepted(SocketFd(fd));
+    SocketFd fd(::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK));
+    if (!fd.valid()) return;  // EAGAIN or transient error: next wait retries
+    auto conn = std::make_shared<TcpConn>(config_.max_body_bytes);
+    conn->fd = std::move(fd);
+    Hello hello;
+    hello.role = PeerRole::kServer;
+    conn->hello_out = encode_hello(hello);
+    conn->state = TcpConn::State::kHello;
+    counters_.connections_accepted.inc();
+    // Registered with epoll at the top of the next iteration.
+    MutexLock lock(mu_);
+    inbound_.push_back(std::move(conn));
   }
 }
 
 void Reactor::loop_dial(const ConnPtr& conn) {
-  ins_.tcp->connects.inc();
+  counters_.connects.inc();
   if (conn->was_established) {
-    ins_.tcp->reconnects.inc();
+    counters_.reconnects.inc();
     conn->was_established = false;
   }
   try {
@@ -471,7 +453,7 @@ void Reactor::loop_connect_ready(const ConnPtr& conn) {
 }
 
 void Reactor::connect_failed(const ConnPtr& conn, const std::string& reason) {
-  ins_.tcp->connect_failures.inc();
+  counters_.connect_failures.inc();
   std::vector<Message> bounces;
   {
     MutexLock lock(mu_);
@@ -501,15 +483,22 @@ void Reactor::connect_failed(const ConnPtr& conn, const std::string& reason) {
     conn->state = TcpConn::State::kIdle;
     write_cv_.notify_all();
   }
-  for (const auto& h : bounces) host_.bounce_request(h, reason);
+  for (const auto& h : bounces) transport_.bounce_request(h, reason);
 }
 
-void Reactor::close_conn(const ConnPtr& conn, const std::string& reason) {
+void Reactor::close_conn(const ConnPtr& conn, const std::string& reason,
+                         bool peer_eof) {
   std::vector<Message> bounces;
   {
     MutexLock lock(mu_);
     if (conn->state == TcpConn::State::kEstablished) {
-      ins_.tcp->connections_lost.inc();
+      // An orderly end of stream with no call outstanding either way is
+      // a peer that finished its work; anything else cut work short.
+      const bool idle =
+          conn->awaiting_response.empty() && conn->outbox.empty();
+      (peer_eof && idle ? counters_.connections_closed
+                        : counters_.connections_lost)
+          .inc();
     }
     forget_fd(conn);
     conn->fd.reset();
@@ -533,15 +522,15 @@ void Reactor::close_conn(const ConnPtr& conn, const std::string& reason) {
     }
     write_cv_.notify_all();
   }
-  // Route directory ranks below the shard mutex: consult it unlocked. A
+  // Route directory ranks below the loop mutex: consult it unlocked. A
   // producer racing this close finds the conn dead and falls back to the
   // peer map (or bounces) — frames never strand on a closed connection.
-  host_.forget_routes(conn);
+  transport_.forget_routes(conn);
   const std::string text =
       "connection to " +
       (conn->outbound ? conn->address.to_string() : std::string("peer")) +
       " lost (" + reason + ")";
-  for (const auto& h : bounces) host_.bounce_request(h, text);
+  for (const auto& h : bounces) transport_.bounce_request(h, text);
 }
 
 void Reactor::loop_writable(const ConnPtr& conn) {
@@ -622,7 +611,7 @@ void Reactor::loop_readable(const ConnPtr& conn) {
   while (conn->fd.valid()) {
     const ssize_t n = ::recv(conn->fd.get(), buf, sizeof(buf), 0);
     if (n == 0) {
-      close_conn(conn, "closed by peer");
+      close_conn(conn, "closed by peer", /*peer_eof=*/true);
       return;
     }
     if (n < 0) {
@@ -631,7 +620,7 @@ void Reactor::loop_readable(const ConnPtr& conn) {
       close_conn(conn, std::string("read: ") + std::strerror(errno));
       return;
     }
-    ins_.bytes_received->inc(static_cast<std::uint64_t>(n));
+    counters_.bytes_received.inc(static_cast<std::uint64_t>(n));
     ByteView data{buf, static_cast<std::size_t>(n)};
 
     // Finish the handshake before framing begins.
@@ -647,8 +636,8 @@ void Reactor::loop_readable(const ConnPtr& conn) {
         (void)decode_hello(
             ByteView{conn->hello_in.data(), conn->hello_in.size()});
       } catch (const FrameError& e) {
-        ins_.tcp->protocol_errors.inc();
-        ins_.tcp->handshake_failures.inc();
+        counters_.protocol_errors.inc();
+        counters_.handshake_failures.inc();
         close_conn(conn, e.what());
         return;
       }
@@ -656,7 +645,7 @@ void Reactor::loop_readable(const ConnPtr& conn) {
       conn->state = TcpConn::State::kEstablished;
       conn->attempts = 0;
       conn->was_established = true;
-      ins_.tcp->connections_established.inc();
+      counters_.connections_established.inc();
       // Flushing queued frames + the rest of this read happen below.
     }
 
@@ -667,7 +656,7 @@ void Reactor::loop_readable(const ConnPtr& conn) {
         if (!conn->fd.valid()) return;  // dispatch closed it
       }
     } catch (const FrameError& e) {
-      ins_.tcp->protocol_errors.inc();
+      counters_.protocol_errors.inc();
       close_conn(conn, e.what());
       return;
     }
@@ -679,73 +668,71 @@ void Reactor::loop_dispatch(const ConnPtr& conn, Message&& m) {
   const obs::TraceContext trace_ctx = m.trace;
   const std::uint64_t dispatch_start =
       trace_ctx.sampled ? obs::unix_micros() : 0;
-  ins_.frames->inc();
+  counters_.frames_received.inc();
   // Kind counters cover traffic both ways (messages_sent/bytes_sent stay
   // send-only): a client's `responses` is what its fleet answered.
-  ins_.tcp->net.count_kind(m.kind);
+  counters_.net.count_kind(m.kind);
   if (m.kind != MessageKind::kRequest) {
     MutexLock lock(mu_);
     // The response's destination is the endpoint that issued the call.
     auto it = conn->awaiting_response.find({m.dst, m.correlation_id});
     if (it != conn->awaiting_response.end()) {
       // Whole-RPC latency: local send() to response frame decoded.
-      obs::Histogram* h = ins_.rpc_us[static_cast<std::uint8_t>(m.type)];
+      obs::Histogram* h =
+          transport_.rpc_us_[static_cast<std::uint8_t>(m.type)];
       if (h) h->observe_since(it->second.queued_at);
       conn->awaiting_response.erase(it);
     }
   }
 
-  // Learn the return route for the peer's endpoint. The directory is
-  // transport-global (an endpoint id is fleet-unique regardless of which
-  // shard its connection hashed to) and ranks below the shard mutex, so
-  // the claim happens with mu_ released.
-  conn->last_frame_us.store(steady_now_us(), std::memory_order_relaxed);
-  const ReactorHost::RouteClaim claim = host_.learn_route(m.src, conn);
-  if (claim == ReactorHost::RouteClaim::kTakeover) {
+  // Learn the return route for the peer's endpoint. The directory ranks
+  // below the loop mutex, so the claim happens with mu_ released.
+  conn->last_frame_us = steady_now_us();
+  const TcpTransport::RouteClaim claim = transport_.learn_route(m.src, conn);
+  if (claim == TcpTransport::RouteClaim::kTakeover) {
     SIGMA_LOG_WARN << "tcp: endpoint " << m.src
                    << " return route taken over by a new connection (old "
                       "one silent past the stale window)";
   }
-  if (claim == ReactorHost::RouteClaim::kConflict) {
+  if (claim == TcpTransport::RouteClaim::kConflict) {
     SIGMA_LOG(LogLevel::kError)
         << "tcp: endpoint " << m.src
         << " re-registered by a different peer connection while its route "
            "is active — refusing the message (endpoint-id collision; give "
            "each client a distinct endpoint base)";
-    ins_.tcp->net.dropped.inc();
-    if (header.kind != MessageKind::kRequest) return;
-    Message bounce = Message::error_to(
-        header, "transport: endpoint " + std::to_string(header.src) +
-                    " already routed to another peer (endpoint-id "
-                    "collision)");
-    ins_.tcp->net.errors.inc();
-    MutexLock lock(mu_);
-    OutFrame frame = make_out_frame(std::move(bounce));
-    conn->outbox_bytes += frame.wire_size();
-    conn->outbox.push_back(std::move(frame));
+    counters_.net.dropped.inc();
+    if (header.kind == MessageKind::kRequest) {
+      refuse(conn, header,
+             "transport: endpoint " + std::to_string(header.src) +
+                 " already routed to another peer (endpoint-id collision)");
+    }
     return;
   }
-  if (host_.deliver_local(std::move(m))) {
+  if (transport_.deliver_local(std::move(m))) {
     if (trace_ctx.sampled) {
-      // One span per delivered frame, named for the shard that carried
-      // it — fleet_trace shows which reactor moved a traced request.
+      // One span per delivered frame: the loop's share of a traced
+      // request's latency.
       obs::Tracer& tracer = obs::Tracer::instance();
-      tracer.emit(tracer.child_of(trace_ctx), "reactor.rx.",
-                  index_str_.c_str(), dispatch_start,
-                  obs::unix_micros() - dispatch_start);
+      tracer.emit(tracer.child_of(trace_ctx), "reactor.rx", nullptr,
+                  dispatch_start, obs::unix_micros() - dispatch_start);
     }
     return;
   }
 
   // Unknown destination: refuse requests over the wire (the remote
   // caller's RPC fails fast), drop stray responses.
-  ins_.tcp->net.dropped.inc();
-  if (header.kind != MessageKind::kRequest) return;
-  Message bounce = Message::error_to(
-      header, "transport: no endpoint " + std::to_string(header.dst));
-  ins_.tcp->net.errors.inc();
+  counters_.net.dropped.inc();
+  if (header.kind == MessageKind::kRequest) {
+    refuse(conn, header,
+           "transport: no endpoint " + std::to_string(header.dst));
+  }
+}
+
+void Reactor::refuse(const ConnPtr& conn, const Message& header,
+                     const std::string& text) {
+  counters_.net.errors.inc();
+  OutFrame frame = make_out_frame(Message::error_to(header, text));
   MutexLock lock(mu_);
-  OutFrame frame = make_out_frame(std::move(bounce));
   conn->outbox_bytes += frame.wire_size();
   conn->outbox.push_back(std::move(frame));
 }

@@ -1,18 +1,16 @@
-// One shard of the TCP transport's event plane: a Reactor is a single
-// thread owning one epoll instance, its own eventfd wakeup and a private
-// connection table. Both descriptors are created at construction; if
-// either cannot be, the constructor throws SocketError (no fallback).
-// Connections are partitioned across reactors by peer hash when they are
-// dialed or accepted and never migrate, so each reactor runs the original
-// single-threaded frame/handshake/backpressure state machines unchanged —
-// the sharding layer (TcpTransport) only multiplies them.
+// The TCP transport's event loop: one thread owning one epoll instance,
+// one eventfd wakeup, the listener and every inbound and outbound
+// connection of its TcpTransport. Both descriptors are created at
+// construction; if either cannot be, the constructor throws SocketError (no
+// fallback). The loop runs the frame, handshake and backpressure state
+// machines and calls its transport directly for local delivery, request
+// bounces and the learned-route directory.
 //
-// Locking: each reactor has exactly one mutex (LockRank::kTransport),
-// guarding the producer/loop handoff for its own connections. A reactor
-// never touches another reactor's mutex — cross-shard state (the local
-// endpoint table, the learned-route directory) lives in the sharding
-// layer behind lower-ranked locks (kTransportEndpoints, kTransportRoutes)
-// and is only consulted with the shard mutex released.
+// Locking: the reactor has exactly one mutex (LockRank::kTransport),
+// guarding the producer/loop handoff for its connections. The transport's
+// endpoint table and learned-route directory sit behind lower-ranked locks
+// (kTransportEndpoints, kTransportRoutes) and are only consulted with the
+// loop mutex released.
 //
 // Write path: frames are never coalesced into a per-send allocation. A
 // queued frame is an OutFrame — the wire header encoded into an inline
@@ -25,7 +23,6 @@
 #include <sys/uio.h>
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <deque>
@@ -42,13 +39,15 @@
 #include "net/tcp/frame.h"
 #include "net/tcp/socket.h"
 #include "net/transport.h"
-#include "obs/metrics.h"
 
 namespace sigma::net {
 
 struct TcpTransportConfig;
 struct TcpCounters;
-class Reactor;
+class TcpTransport;
+
+/// Header-only copy of a message (for bounce bookkeeping).
+Message header_of(const Message& m);
 
 /// One frame queued for the wire: the encoded header (fixed header plus
 /// optional trace block) lives in an inline array, the body is the
@@ -80,26 +79,22 @@ std::size_t build_frame_iovecs(const std::deque<OutFrame>& queue,
 void consume_sent(std::deque<OutFrame>& queue, std::size_t& offset,
                   std::size_t sent);
 
-/// One TCP connection (inbound or outbound) and its state machine. Owned
-/// by exactly one Reactor for its whole life (`owner`, immutable).
+/// One TCP connection (inbound or outbound) and its state machine, owned
+/// by the transport's Reactor.
 ///
 /// Ownership of the fields is split two ways (annotations cannot express
 /// a struct guarded by its owner's mutex, so the split is documented here
 /// and enforced by the TSan lane):
-///   * reactor-thread-only: fd, address, hello_*, decoder, attempts,
-///     retry_at, was_established, epoll_events — touched exclusively by
-///     the owning reactor's loop once the conn is registered;
-///   * guarded by owner->mu_: state, outbox, out_offset, outbox_bytes,
-///     awaiting_response, stalled, dead — the producer/loop handoff;
-///   * last_frame_us is a relaxed atomic: written by the owning loop,
-///     read by other reactors deciding learned-route takeovers.
+///   * loop-thread-only: fd, address, hello_*, decoder, attempts,
+///     retry_at, last_frame_us, was_established, epoll_events — touched
+///     exclusively by the loop once the conn is registered;
+///   * guarded by the reactor's mu_: state, outbox, out_offset,
+///     outbox_bytes, awaiting_response, stalled, dead — the producer/loop
+///     handoff.
 struct TcpConn {
   enum class State { kIdle, kBackoff, kConnecting, kHello, kEstablished };
 
-  TcpConn(std::size_t max_body, Reactor* owner_reactor)
-      : owner(owner_reactor), decoder(max_body) {}
-
-  Reactor* const owner;
+  explicit TcpConn(std::size_t max_body) : decoder(max_body) {}
 
   State state = State::kIdle;
   SocketFd fd;
@@ -137,7 +132,7 @@ struct TcpConn {
 
   /// When this connection last received a frame (steady-clock µs) — the
   /// freshness that defends its learned routes against takeover.
-  std::atomic<std::int64_t> last_frame_us{0};
+  std::int64_t last_frame_us = 0;
 
   /// Whether this connection ever completed a handshake — a later dial
   /// of the same conn is a reconnect, not a first connect (metrics).
@@ -155,97 +150,32 @@ struct TcpConn {
 
 using ConnPtr = std::shared_ptr<TcpConn>;
 
-/// What a reactor needs from the sharding layer: local endpoint delivery,
-/// request bounces, the transport-global learned-route directory, and the
-/// accept handoff that assigns new inbound connections to a shard.
-/// Implemented by TcpTransport; everything here is callable from any
-/// reactor thread with NO shard mutex held (the host's locks rank below
-/// the shard locks).
-class ReactorHost {
- public:
-  enum class RouteClaim { kOk, kConflict, kTakeover };
-
-  virtual ~ReactorHost() = default;
-
-  /// Deliver to a local endpoint handler; false when the endpoint is not
-  /// registered.
-  virtual bool deliver_local(Message&& m) = 0;
-
-  /// Synthesize the error response for an undeliverable request and hand
-  /// it to the local requester (silently drops if the requester is gone).
-  virtual void bounce_request(const Message& header,
-                              const std::string& text) = 0;
-
-  /// Learn (or contest) the return route for remote endpoint `src` over
-  /// `conn`. kConflict = the endpoint is owned by a different, fresh
-  /// connection (refuse the message); kTakeover = a stale owner was
-  /// displaced.
-  virtual RouteClaim learn_route(EndpointId src, const ConnPtr& conn) = 0;
-
-  /// Drop every learned route pointing at `conn` (connection closed).
-  virtual void forget_routes(const ConnPtr& conn) = 0;
-
-  /// Reclaim learned routes whose owning connection has been silent past
-  /// the stale window (a departed peer whose drop this side never
-  /// observed, and no collider ever dialed in to take the route over).
-  /// Every reactor calls this once per loop iteration, with no shard
-  /// mutex held; the host throttles the actual scan internally.
-  virtual void sweep_stale_routes() = 0;
-
-  /// Take ownership of a freshly accept()ed socket: pick the owning
-  /// reactor by peer hash and hand the connection to it.
-  virtual void adopt_accepted(SocketFd fd) = 0;
-};
-
-/// What a reactor records into: the transport-wide counters, its own
-/// transport.reactor<i>.* counters, and the opt-in instruments (null
-/// unless the transport was given a registry).
-struct ReactorInstruments {
-  TcpCounters* tcp = nullptr;              // shared by every reactor
-  obs::Counter* frames = nullptr;          // transport.reactor<i>.frames
-  obs::Counter* bytes_received = nullptr;  // .bytes_received
-  obs::Counter* wakeups = nullptr;         // .wakeups
-  obs::Histogram* const* rpc_us = nullptr;  // [kMaxMessageType + 1]
-  obs::Gauge* write_queue_bytes = nullptr;
-};
-
 class Reactor {
  public:
-  /// `config` and `host` must outlive the reactor. The loop thread is not
-  /// started until start() — construct every shard first, so the accept
-  /// handoff can target any of them from the first event on.
-  Reactor(ReactorHost& host, const TcpTransportConfig& config,
-          std::size_t index, ReactorInstruments instruments);
+  /// `transport` must outlive the reactor. The loop thread is not started
+  /// until start(), so the transport can finish binding its listener.
+  explicit Reactor(TcpTransport& transport);
   ~Reactor();
 
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
 
-  /// Borrow the listening socket (reactor 0 of a listening transport).
-  /// Must precede start(); the fd stays owned by the transport.
-  void attach_listener(int listen_fd) { listen_fd_ = listen_fd; }
-
   void start();
 
-  /// Phase one of shutdown: flag the loop and every backpressured
-  /// producer. Safe to call repeatedly.
-  void request_stop();
+  /// Flag the loop and every backpressured producer, then join the loop
+  /// thread. Safe to call repeatedly.
+  void stop();
 
-  /// Phase two: join the loop thread (call after request_stop()).
-  void join();
-
-  std::size_t index() const { return index_; }
-
-  /// Whether the calling thread is ANY reactor's loop thread (such a
-  /// thread must never block on backpressure — it may be the one that
-  /// has to drain the queue it would be waiting on).
+  /// Whether the calling thread is a reactor's loop thread (such a thread
+  /// must never block on backpressure — it may be the one that has to
+  /// drain the queue it would be waiting on).
   static bool on_reactor_thread();
 
   // ---- Producer API (any thread) ----------------------------------------
 
-  /// Queue `m` on an existing connection owned by this reactor. Returns
-  /// false — with `m` untouched — when the connection is already dead
-  /// (the caller falls back to the static peer map or bounces).
+  /// Queue `m` on an existing connection. Returns false — with `m`
+  /// untouched — when the connection is already dead (the caller falls
+  /// back to the static peer map or bounces).
   bool enqueue(const ConnPtr& conn, Message& m, const Message& header,
                bool track);
 
@@ -261,30 +191,23 @@ class Reactor {
   bool outbound_exists(const std::pair<std::string, std::uint16_t>& key);
 
   /// Block the producer while `conn`'s write queue is past the high
-  /// watermark (never called on a reactor thread).
+  /// watermark (never called on the loop thread).
   void backpressure_wait(const ConnPtr& conn);
-
-  /// Adopt an accepted connection assigned to this shard by peer hash
-  /// (called on the accepting reactor's thread). The conn joins the
-  /// connection table at the next loop iteration.
-  void adopt_inbound(ConnPtr conn);
 
   /// Poke the loop (new work queued, stop requested).
   void wake();
 
-  const ReactorInstruments& instruments() const { return ins_; }
-
  private:
   void loop();
-  /// One pass over shared state at the top of a loop iteration: adopt
-  /// pending inbound conns, reap dead ones, sweep stale request tracking,
-  /// collect stalled conns and due dials. Returns the wait timeout in ms.
+  /// One pass over shared state at the top of a loop iteration: reap dead
+  /// inbound conns, sweep stale request tracking, collect stalled conns
+  /// and due dials. Returns the wait timeout in ms.
   int prepare_iteration(std::vector<ConnPtr>& to_dial,
                         std::vector<ConnPtr>& to_fail);
   /// Reconcile one connection's epoll registration with its desired
   /// interest set (loop thread; mu_ held for the interest computation).
   void epoll_update(const ConnPtr& conn) SIGMA_REQUIRES(mu_);
-  void loop_accept();
+  void loop_accept(int listen_fd);
   void loop_dial(const ConnPtr& conn);
   void loop_connect_ready(const ConnPtr& conn);
   void loop_readable(const ConnPtr& conn);
@@ -294,8 +217,12 @@ class Reactor {
   void handle_conn_events(const ConnPtr& conn, std::uint32_t events);
   /// Tear down a connection: bounce requests awaiting responses, drop the
   /// queue, forget learned routes. Outbound conns return to kIdle (a
-  /// later send re-dials); inbound conns are reaped.
-  void close_conn(const ConnPtr& conn, const std::string& reason);
+  /// later send re-dials); inbound conns are reaped. `peer_eof` marks an
+  /// orderly end of stream: with nothing awaiting a response and nothing
+  /// queued it counts as closed, every other close of an established
+  /// connection as lost.
+  void close_conn(const ConnPtr& conn, const std::string& reason,
+                  bool peer_eof = false);
   /// Connect attempt failed: back off and retry, or give up and bounce.
   void connect_failed(const ConnPtr& conn, const std::string& reason);
   /// Deregister a connection's fd from the epoll set (before closing it).
@@ -303,13 +230,14 @@ class Reactor {
   /// Queue a frame on `conn` (mu_ held): encode, account, track.
   void push_frame(const ConnPtr& conn, Message&& m, const Message& header,
                   bool track) SIGMA_REQUIRES(mu_);
+  /// Queue an error response to a refused request on `conn`.
+  void refuse(const ConnPtr& conn, const Message& header,
+              const std::string& text);
   void drain_wake_fd();
 
-  ReactorHost& host_;
+  TcpTransport& transport_;
   const TcpTransportConfig& config_;
-  const std::size_t index_;
-  const std::string index_str_;
-  ReactorInstruments ins_;
+  TcpCounters& counters_;
 
   Mutex mu_{LockRank::kTransport};
   CondVar write_cv_;  // backpressured producers wait here
@@ -318,20 +246,15 @@ class Reactor {
   /// Outbound connections by dial address (persist across reconnects).
   std::map<std::pair<std::string, std::uint16_t>, ConnPtr> outbound_
       SIGMA_GUARDED_BY(mu_);
-  /// Accepted connections owned by this shard.
+  /// Accepted connections.
   std::vector<ConnPtr> inbound_ SIGMA_GUARDED_BY(mu_);
-  /// Accepted conns handed over by the accepting reactor, adopted into
-  /// inbound_ at the next loop iteration.
-  std::vector<ConnPtr> pending_inbound_ SIGMA_GUARDED_BY(mu_);
-
-  int listen_fd_ = -1;  // borrowed from the transport (reactor 0 only)
 
   SocketFd epoll_fd_;
   SocketFd wake_fd_;  // eventfd, registered with epoll_fd_ at construction
   /// Registered fds -> connection, loop-thread-only. New fds are only
-  /// registered at the top of an iteration (adopted accepts, fresh
-  /// dials), never while an event batch is being processed, so a stale
-  /// event can never alias a recycled fd number.
+  /// registered at the top of an iteration (accepts, fresh dials), never
+  /// while an event batch is being processed, so a stale event can never
+  /// alias a recycled fd number.
   std::unordered_map<int, ConnPtr> by_fd_;
 
   std::thread thread_;

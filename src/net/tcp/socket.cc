@@ -1,7 +1,6 @@
 #include "net/tcp/socket.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -41,10 +40,9 @@ sockaddr_in resolve(const TcpAddress& addr) {
 }
 
 SocketFd make_tcp_socket() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) throw SocketError(errno_text("socket"));
   SocketFd sock(fd);
-  set_nonblocking(fd);
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return sock;
@@ -126,13 +124,6 @@ std::vector<TcpNodeAddress> parse_tcp_nodes(const std::string& csv,
 void SocketFd::reset() {
   if (fd_ >= 0) ::close(fd_);
   fd_ = -1;
-}
-
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw SocketError(errno_text("fcntl(O_NONBLOCK)"));
-  }
 }
 
 SocketFd tcp_listen(const TcpAddress& addr, int backlog) {

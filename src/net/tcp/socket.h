@@ -107,9 +107,6 @@ class SocketFd {
   int fd_ = -1;
 };
 
-/// Put a descriptor into non-blocking mode.
-void set_nonblocking(int fd);
-
 /// Create a non-blocking listening socket bound to `addr` (SO_REUSEADDR).
 SocketFd tcp_listen(const TcpAddress& addr, int backlog = 64);
 

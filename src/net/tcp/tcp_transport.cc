@@ -1,49 +1,9 @@
 #include "net/tcp/tcp_transport.h"
 
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <chrono>
-#include <cstring>
-#include <thread>
-
-#include "common/logging.h"
 
 namespace sigma::net {
-namespace {
-
-/// Header-only copy of a message (for bounce bookkeeping).
-Message header_of(const Message& m) {
-  Message h;
-  h.type = m.type;
-  h.kind = m.kind;
-  h.correlation_id = m.correlation_id;
-  h.src = m.src;
-  h.dst = m.dst;
-  return h;
-}
-
-std::uint64_t fnv1a(const void* data, std::size_t n,
-                    std::uint64_t seed = 1469598103934665603ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::size_t resolve_reactor_count(const TcpTransportConfig& config) {
-  std::uint32_t n = config.reactors;
-  if (n == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    n = std::min<std::uint32_t>(hw == 0 ? 1 : hw, 4);
-  }
-  return std::clamp<std::uint32_t>(n, 1, 64);
-}
-
-}  // namespace
 
 TcpCounters::TcpCounters(obs::Registry& registry)
     : net(registry),
@@ -51,9 +11,13 @@ TcpCounters::TcpCounters(obs::Registry& registry)
       connections_established(
           registry.counter("tcp.connections_established")),
       connect_failures(registry.counter("tcp.connect_failures")),
+      connections_closed(registry.counter("tcp.connections_closed")),
       connections_lost(registry.counter("tcp.connections_lost")),
       protocol_errors(registry.counter("tcp.protocol_errors")),
+      frames_received(registry.counter("tcp.frames_received")),
+      bytes_received(registry.counter("tcp.bytes_received")),
       bounced_requests(registry.counter("tcp.bounced_requests")),
+      wakeups(registry.counter("tcp.wakeups")),
       route_conflicts(registry.counter("tcp.route_conflicts")),
       route_takeovers(registry.counter("tcp.route_takeovers")),
       route_expired(registry.counter("tcp.route_expired")),
@@ -61,6 +25,24 @@ TcpCounters::TcpCounters(obs::Registry& registry)
       reconnects(registry.counter("tcp.reconnects")),
       handshake_failures(registry.counter("tcp.handshake_failures")),
       backpressure_stalls(registry.counter("tcp.backpressure_stalls")) {}
+
+TcpTransportStats TcpCounters::read() const {
+  TcpTransportStats s;
+  s.connections_accepted = connections_accepted.value();
+  s.connections_established = connections_established.value();
+  s.connect_failures = connect_failures.value();
+  s.connections_closed = connections_closed.value();
+  s.connections_lost = connections_lost.value();
+  s.protocol_errors = protocol_errors.value();
+  s.frames_received = frames_received.value();
+  s.bytes_received = bytes_received.value();
+  s.bounced_requests = bounced_requests.value();
+  s.wakeups = wakeups.value();
+  s.route_conflicts = route_conflicts.value();
+  s.route_takeovers = route_takeovers.value();
+  s.route_expired = route_expired.value();
+  return s;
+}
 
 TcpTransport::TcpTransport(TcpTransportConfig config)
     : config_(std::move(config)),
@@ -79,33 +61,14 @@ TcpTransport::TcpTransport(TcpTransportConfig config)
     listen_fd_ = tcp_listen(*config_.listen);
     listen_port_ = bound_port(listen_fd_.get());
   }
-  const std::size_t n = resolve_reactor_count(config_);
-  reactors_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::string prefix = "transport.reactor" + std::to_string(i);
-    ReactorInstruments ins;
-    ins.tcp = &counters_;
-    ins.frames = &metrics_->counter(prefix + ".frames");
-    ins.bytes_received = &metrics_->counter(prefix + ".bytes_received");
-    ins.wakeups = &metrics_->counter(prefix + ".wakeups");
-    ins.rpc_us = rpc_us_;
-    ins.write_queue_bytes = m_write_queue_bytes_;
-    ReactorHost& host = *this;  // private base: convert inside the class
-    reactors_.push_back(std::make_unique<Reactor>(host, config_, i, ins));
-  }
-  // Every shard exists before any thread starts: the accept handoff may
-  // target any of them from the first event on.
-  if (listen_fd_.valid()) reactors_[0]->attach_listener(listen_fd_.get());
-  for (auto& r : reactors_) r->start();
+  reactor_.start();
 }
 
 TcpTransport::~TcpTransport() {
   stopping_.store(true, std::memory_order_relaxed);
-  for (auto& r : reactors_) r->request_stop();
-  for (auto& r : reactors_) r->join();
-  // Connections, the listener and the wake fds close via RAII. No
-  // deliveries can be in flight: only the (joined) reactor threads
-  // delivered.
+  reactor_.stop();
+  // Connections, the listener and the wake fd close via RAII. No
+  // deliveries can be in flight: only the (joined) loop thread delivered.
 }
 
 EndpointId TcpTransport::register_endpoint(Handler handler) {
@@ -157,8 +120,8 @@ void TcpTransport::bounce_request(const Message& header,
   (void)deliver_local(std::move(bounce));  // requester gone: silent drop
 }
 
-ReactorHost::RouteClaim TcpTransport::learn_route(EndpointId src,
-                                                  const ConnPtr& conn) {
+TcpTransport::RouteClaim TcpTransport::learn_route(EndpointId src,
+                                                   const ConnPtr& conn) {
   if (src == 0) return RouteClaim::kOk;
   {
     MutexLock lock(ep_mu_);
@@ -173,19 +136,15 @@ ReactorHost::RouteClaim TcpTransport::learn_route(EndpointId src,
   // connection has been silent past route_stale_ms (a drop this side
   // never observed — close_conn erases routes on the drops it does
   // observe), the new claimant takes the route over, so a re-dialing
-  // peer is locked out for at most the stale window. Freshness crosses
-  // shards via TcpConn::last_frame_us (relaxed atomic, written by each
-  // owning loop just before it claims).
+  // peer is locked out for at most the stale window. Freshness is
+  // TcpConn::last_frame_us, written by the loop just before it claims.
   MutexLock lock(route_mu_);
   const auto [it, inserted] = routes_.try_emplace(src, conn);
   if (inserted || it->second == conn) return RouteClaim::kOk;
-  const std::int64_t claim_us =
-      conn->last_frame_us.load(std::memory_order_relaxed);
   const std::int64_t stale_cutoff_us =
-      claim_us -
+      conn->last_frame_us -
       static_cast<std::int64_t>(config_.route_stale_ms) * 1000;
-  if (it->second->last_frame_us.load(std::memory_order_relaxed) <=
-      stale_cutoff_us) {
+  if (it->second->last_frame_us <= stale_cutoff_us) {
     counters_.route_takeovers.inc();
     it->second = conn;
     return RouteClaim::kTakeover;
@@ -210,7 +169,7 @@ void TcpTransport::sweep_stale_routes() {
   if (now_us < next_route_sweep_us_) return;
   // Scan at a quarter of the stale window: reclamation lags an idle
   // departure by at most ~1.25x route_stale_ms without taking route_mu_
-  // on every reactor iteration. (Expiring a route is cheap to get wrong
+  // on every loop iteration. (Expiring a route is cheap to get wrong
   // in the safe direction — a live peer's next frame just re-learns it.)
   next_route_sweep_us_ =
       now_us +
@@ -219,8 +178,7 @@ void TcpTransport::sweep_stale_routes() {
   const std::int64_t cutoff_us =
       now_us - static_cast<std::int64_t>(config_.route_stale_ms) * 1000;
   for (auto it = routes_.begin(); it != routes_.end();) {
-    if (it->second->last_frame_us.load(std::memory_order_relaxed) <=
-        cutoff_us) {
+    if (it->second->last_frame_us <= cutoff_us) {
       counters_.route_expired.inc();
       it = routes_.erase(it);
     } else {
@@ -229,36 +187,16 @@ void TcpTransport::sweep_stale_routes() {
   }
 }
 
-void TcpTransport::adopt_accepted(SocketFd fd) {
-  try {
-    set_nonblocking(fd.get());
-  } catch (const SocketError&) {
-    return;  // conn drops, fd closed by RAII
+bool TcpTransport::refuse_oversized(const Message& header,
+                                    std::size_t body_size) {
+  if (body_size <= config_.max_body_bytes) return false;
+  counters_.net.dropped.inc();
+  if (header.kind == MessageKind::kRequest) {
+    bounce_request(header, "message body " + std::to_string(body_size) +
+                               " exceeds limit " +
+                               std::to_string(config_.max_body_bytes));
   }
-  // Hash the peer's address to pick the owning shard; the fd lives its
-  // whole life on that reactor.
-  std::size_t shard = 0;
-  sockaddr_storage ss;
-  std::memset(&ss, 0, sizeof(ss));
-  socklen_t len = sizeof(ss);
-  if (::getpeername(fd.get(), reinterpret_cast<sockaddr*>(&ss), &len) == 0) {
-    shard = fnv1a(&ss, len) % reactors_.size();
-  }
-  Reactor* owner = reactors_[shard].get();
-  auto conn = std::make_shared<TcpConn>(config_.max_body_bytes, owner);
-  conn->fd = std::move(fd);
-  Hello hello;
-  hello.role = PeerRole::kServer;
-  conn->hello_out = encode_hello(hello);
-  conn->state = TcpConn::State::kHello;
-  owner->adopt_inbound(std::move(conn));
-}
-
-Reactor& TcpTransport::shard_for(const std::string& host,
-                                 std::uint16_t port) {
-  std::uint64_t h = fnv1a(host.data(), host.size());
-  h = fnv1a(&port, sizeof(port), h);
-  return *reactors_[h % reactors_.size()];
+  return true;
 }
 
 void TcpTransport::send(Message&& m) {
@@ -294,22 +232,10 @@ void TcpTransport::send(Message&& m) {
     if (it != routes_.end()) route = it->second;
   }
   if (route) {
-    if (body_size > config_.max_body_bytes) {
-      // Fail the offending message locally: shipping it would poison the
-      // shared connection when the peer rejects the frame. (Both sides
-      // of a deployment share one max_body_bytes.)
-      counters_.net.dropped.inc();
-      if (is_request) {
-        bounce_request(header, "message body " + std::to_string(body_size) +
-                                   " exceeds limit " +
-                                   std::to_string(config_.max_body_bytes));
-      }
-      return;
-    }
-    Reactor* owner = route->owner;
-    if (owner->enqueue(route, m, header, track)) {
-      owner->wake();
-      if (!Reactor::on_reactor_thread()) owner->backpressure_wait(route);
+    if (refuse_oversized(header, body_size)) return;
+    if (reactor_.enqueue(route, m, header, track)) {
+      reactor_.wake();
+      if (!Reactor::on_reactor_thread()) reactor_.backpressure_wait(route);
       return;
     }
     // The routed connection died under us (close_conn erases the route
@@ -325,24 +251,15 @@ void TcpTransport::send(Message&& m) {
     }
     return;
   }
-  if (body_size > config_.max_body_bytes) {
-    counters_.net.dropped.inc();
-    if (is_request) {
-      bounce_request(header, "message body " + std::to_string(body_size) +
-                                 " exceeds limit " +
-                                 std::to_string(config_.max_body_bytes));
-    }
-    return;
-  }
+  if (refuse_oversized(header, body_size)) return;
 
   const std::pair<std::string, std::uint16_t> key{pit->second.host,
                                                   pit->second.port};
-  Reactor& shard = shard_for(key.first, key.second);
   // Resolve a first-contact peer's address before queueing: a slow DNS
   // lookup then costs only this producer, never a reactor or other
   // senders. (remote_endpoints is immutable after construction.)
   TcpAddress dial = pit->second;
-  if (!shard.outbound_exists(key)) {
+  if (!reactor_.outbound_exists(key)) {
     try {
       dial = resolve_numeric(pit->second);
     } catch (const SocketError& e) {
@@ -353,37 +270,18 @@ void TcpTransport::send(Message&& m) {
       return;
     }
   }
-  const ConnPtr conn = shard.enqueue_outbound(key, dial, m, header, track);
+  const ConnPtr conn =
+      reactor_.enqueue_outbound(key, dial, m, header, track);
   if (!conn) return;  // transport stopping
-  shard.wake();
+  reactor_.wake();
 
-  // Backpressure: block producers (never a reactor thread) while this
+  // Backpressure: block producers (never the loop thread) while this
   // connection's queue is past the high watermark. A dying connection
   // clears its queue; a peer that stays wedged past the stall timeout is
-  // failed (its reactor owns the fd), so this always unblocks.
-  if (!Reactor::on_reactor_thread()) shard.backpressure_wait(conn);
+  // failed (the loop owns the fd), so this always unblocks.
+  if (!Reactor::on_reactor_thread()) reactor_.backpressure_wait(conn);
 }
 
 NetStats TcpTransport::stats() const { return counters_.net.read(); }
-
-TcpTransportStats TcpTransport::tcp_stats() const {
-  TcpTransportStats total;
-  total.connections_accepted = counters_.connections_accepted.value();
-  total.connections_established = counters_.connections_established.value();
-  total.connect_failures = counters_.connect_failures.value();
-  total.connections_lost = counters_.connections_lost.value();
-  total.protocol_errors = counters_.protocol_errors.value();
-  total.bounced_requests = counters_.bounced_requests.value();
-  total.route_conflicts = counters_.route_conflicts.value();
-  total.route_takeovers = counters_.route_takeovers.value();
-  total.route_expired = counters_.route_expired.value();
-  for (const auto& r : reactors_) {
-    const ReactorInstruments& ins = r->instruments();
-    total.frames_received += ins.frames->value();
-    total.bytes_received += ins.bytes_received->value();
-    total.wakeups += ins.wakeups->value();
-  }
-  return total;
-}
 
 }  // namespace sigma::net

@@ -1,23 +1,21 @@
 // TCP implementation of net::Transport: real sockets between OS
 // processes, same Message semantics as the loopback.
 //
-// The event plane is SHARDED. The transport owns N Reactors (see
-// net/tcp/reactor.h) — each a thread with its own epoll instance, its own
-// eventfd wakeup and a private connection table. Connections are
-// partitioned by peer hash — outbound by dial address at first send,
-// inbound by peer address at accept — and never migrate between shards,
-// so each reactor runs the original single-loop state machines against a
-// strictly private fd set:
+// One event loop carries everything. The transport owns a single Reactor
+// (see net/tcp/reactor.h) — one thread, one epoll instance, one eventfd
+// wakeup — that holds the listener and every inbound and outbound
+// connection:
 //
-//            ┌ reactor 0 ── epoll ── conns {a, d, ...}   (+ listener)
-//   send() ──┤ reactor 1 ── epoll ── conns {b, ...}
-//            └ reactor N ── epoll ── conns {c, ...}
+//   send() ── reactor ── epoll ── listener + conns {a, b, c, ...}
 //
-// This class is the layer above the shards: local endpoint registry,
-// static peer map, learned return routes, and the hash that picks a
-// shard. send() resolves the destination (local endpoint, learned route,
-// or peer map), then queues on the owning reactor; the reactor frames,
-// writev()s and dispatches without ever touching another shard.
+// This class is the layer around the loop: local endpoint registry,
+// static peer map and learned return routes. send() resolves the
+// destination (local endpoint, learned route, or peer map), then queues
+// on the reactor; the reactor frames, writev()s and dispatches, calling
+// back into this class for local delivery, bounces and route claims.
+// Every delivery handler hands work off (a service to its pool, an
+// RpcEndpoint to a future), so one loop serving both directions of many
+// connections never waits on itself.
 //
 // Per-peer connection state machine (outbound connections are dialed
 // lazily, on the first send toward that peer's address):
@@ -41,15 +39,13 @@
 // endpoints are resolved through the static peer map (endpoint id ->
 // host:port, for clients dialing node services) or through learned routes
 // (a server answers a client endpoint over the connection that carried
-// its request). Both the endpoint table and the route directory are
-// transport-global — endpoint ids are fleet-unique regardless of which
-// shard a connection hashed to — and live behind locks RANKED BELOW the
-// shard mutexes (kTransportEndpoints, kTransportRoutes < kTransport), so
-// a reactor consults them only with its own mutex released and no lock
-// order ever crosses two shards.
+// its request). Both the endpoint table and the route directory live
+// behind locks RANKED BELOW the loop mutex (kTransportEndpoints,
+// kTransportRoutes < kTransport), so the loop consults them only with its
+// own mutex released.
 //
 // Backpressure: each connection's write queue is capped; send() from a
-// non-reactor thread blocks once the queue passes the high watermark and
+// thread other than the loop blocks once the queue passes the high watermark and
 // resumes below the low watermark — a slow or stalled peer throttles its
 // producers instead of ballooning memory.
 #pragma once
@@ -58,8 +54,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
@@ -82,11 +78,6 @@ struct TcpTransportConfig {
 
   /// First id handed out by register_endpoint().
   EndpointId endpoint_base = kClientEndpointBase;
-
-  /// Event-loop shards. 0 = auto: min(hardware_concurrency, 4), at least
-  /// 1. Clamped to 64. Each shard is one thread + one epoll instance;
-  /// connections are hash-partitioned across them and never migrate.
-  std::uint32_t reactors = 0;
 
   /// Largest acceptable frame body. Frames above this are a protocol
   /// error (connection dropped) — bounds memory against corrupt peers.
@@ -125,8 +116,7 @@ struct TcpTransportConfig {
   std::uint32_t route_stale_ms = 15000;
 
   /// Registry for the transport's counters (must outlive the transport):
-  /// `net.*`, the `tcp.*` connection / route / stall counters and the
-  /// per-shard transport.reactor<i>.{frames,bytes_received,wakeups}.
+  /// `net.*` and the `tcp.*` connection / frame / route / stall counters.
   /// Null = the transport keeps them in a registry it owns. Given a
   /// registry, it also records the opt-in instruments: per-op RPC
   /// latency histograms (send to response) and a write-queue depth gauge
@@ -134,20 +124,24 @@ struct TcpTransportConfig {
   obs::Registry* metrics = nullptr;
 };
 
-/// TCP-specific counters on top of NetStats. frames_received,
-/// bytes_received and wakeups are sums of the per-reactor counters.
+/// TCP-specific counters on top of NetStats.
 struct TcpTransportStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_established = 0;
   std::uint64_t connect_failures = 0;
+  /// Established connections the peer ended in order (end of stream)
+  /// with no request awaiting a response and no frame queued.
+  std::uint64_t connections_closed = 0;
+  /// Every other close of an established connection: resets, read or
+  /// write errors, protocol errors, stalls, or an end of stream that cut
+  /// outstanding work short.
   std::uint64_t connections_lost = 0;
   std::uint64_t protocol_errors = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t bounced_requests = 0;
-  /// Event-loop wakeup pokes (eventfd writes): producers signalling a
-  /// reactor that new work is queued. A wakeup is cheap but not free —
-  /// this is the cross-thread chatter the shards are meant to bound.
+  /// Event-loop wakeup pokes (eventfd writes): producers signalling the
+  /// loop that new work is queued. A wakeup is cheap but not free.
   std::uint64_t wakeups = 0;
   /// Messages refused because their source endpoint's return route is
   /// already owned by a different, recently-active connection — two
@@ -164,18 +158,23 @@ struct TcpTransportStats {
   std::uint64_t route_expired = 0;
 };
 
-/// The transport-wide counters, shared by every reactor (registry names
-/// `net.*` and `tcp.<field>`).
+/// The transport's counters (registry names `net.*` and `tcp.<field>`).
 struct TcpCounters {
   explicit TcpCounters(obs::Registry& registry);
+
+  TcpTransportStats read() const;
 
   NetCounters net;
   obs::Counter& connections_accepted;
   obs::Counter& connections_established;
   obs::Counter& connect_failures;
+  obs::Counter& connections_closed;
   obs::Counter& connections_lost;
   obs::Counter& protocol_errors;
+  obs::Counter& frames_received;
+  obs::Counter& bytes_received;
   obs::Counter& bounced_requests;
+  obs::Counter& wakeups;
   obs::Counter& route_conflicts;
   obs::Counter& route_takeovers;
   obs::Counter& route_expired;
@@ -185,13 +184,13 @@ struct TcpCounters {
   obs::Counter& backpressure_stalls;
 };
 
-class TcpTransport final : public Transport, private ReactorHost {
+class TcpTransport final : public Transport {
  public:
-  /// Binds the listener (when configured) and starts every reactor.
+  /// Binds the listener (when configured) and starts the reactor.
   /// Throws SocketError if the listen address cannot be bound.
   explicit TcpTransport(TcpTransportConfig config);
 
-  /// Stops every reactor, closes every connection, unblocks senders.
+  /// Stops the reactor, closes every connection, unblocks senders.
   ~TcpTransport() override;
 
   EndpointId register_endpoint(Handler handler) override;
@@ -199,71 +198,90 @@ class TcpTransport final : public Transport, private ReactorHost {
   void send(Message&& m) override;
   NetStats stats() const override;
 
-  TcpTransportStats tcp_stats() const;
+  TcpTransportStats tcp_stats() const { return counters_.read(); }
 
   /// Actual listening port (resolves port 0); 0 when not listening.
   std::uint16_t listen_port() const { return listen_port_; }
 
-  /// Number of event-loop shards this transport is running.
-  std::size_t reactor_count() const { return reactors_.size(); }
-
  private:
+  // The loop delivers, bounces and claims routes through the private
+  // methods below, and records into counters_ and the instruments.
+  friend class Reactor;
+
+  enum class RouteClaim { kOk, kConflict, kTakeover };
+
   struct Endpoint {
     Handler handler;
     int active_deliveries = 0;
   };
 
-  // ---- ReactorHost (called from reactor threads, no shard mutex held) ----
-  bool deliver_local(Message&& m) override;
-  void bounce_request(const Message& header, const std::string& text) override;
-  RouteClaim learn_route(EndpointId src, const ConnPtr& conn) override;
-  void forget_routes(const ConnPtr& conn) override;
-  void sweep_stale_routes() override;
-  void adopt_accepted(SocketFd fd) override;
+  /// Deliver to a local endpoint handler; false when the endpoint is not
+  /// registered.
+  bool deliver_local(Message&& m);
 
-  /// The shard owning connections to `host:port` (stable FNV-1a hash —
-  /// every send toward one address lands on the same reactor).
-  Reactor& shard_for(const std::string& host, std::uint16_t port);
+  /// Synthesize the error response for an undeliverable request and hand
+  /// it to the local requester (silently drops if the requester is gone).
+  void bounce_request(const Message& header, const std::string& text);
+
+  /// Fail a message locally when its body exceeds max_body_bytes (true =
+  /// refused): shipping it would poison the connection when the peer
+  /// rejects the frame. (Both sides of a deployment share one limit.)
+  bool refuse_oversized(const Message& header, std::size_t body_size);
+
+  /// Learn (or contest) the return route for remote endpoint `src` over
+  /// `conn` (loop thread, loop mutex released). kConflict = the endpoint
+  /// is owned by a different, fresh connection (refuse the message);
+  /// kTakeover = a stale owner was displaced.
+  RouteClaim learn_route(EndpointId src, const ConnPtr& conn);
+
+  /// Drop every learned route pointing at `conn` (connection closed).
+  void forget_routes(const ConnPtr& conn);
+
+  /// Reclaim learned routes whose owning connection has been silent past
+  /// the stale window (a departed peer whose drop this side never
+  /// observed, and no collider ever dialed in to take the route over).
+  /// The loop calls this once per iteration; the scan itself is
+  /// throttled.
+  void sweep_stale_routes();
 
   TcpTransportConfig config_;
 
   /// Set first in the destructor; producers observe it without any lock
-  /// (send() becomes a no-op while the reactors wind down).
+  /// (send() becomes a no-op while the reactor winds down).
   std::atomic<bool> stopping_{false};
 
-  // ---- Endpoint table (rank kTransportEndpoints, below the shards) ------
+  // ---- Endpoint table (rank kTransportEndpoints, below the loop) --------
   Mutex ep_mu_{LockRank::kTransportEndpoints};
   CondVar idle_cv_;  // unregister_endpoint waits here
   std::unordered_map<EndpointId, std::shared_ptr<Endpoint>> endpoints_
       SIGMA_GUARDED_BY(ep_mu_);
   EndpointId next_id_ SIGMA_GUARDED_BY(ep_mu_);
 
-  // ---- Learned routes (rank kTransportRoutes, below the shards) ---------
+  // ---- Learned routes (rank kTransportRoutes, below the loop) -----------
   /// Remote endpoint id -> connection that carried its last message (how
-  /// a daemon answers client endpoints). Transport-global: a response
-  /// produced by any thread must find the route no matter which shard
-  /// the inbound connection hashed to.
+  /// a daemon answers client endpoints). A response produced by any
+  /// thread finds its connection here.
   Mutex route_mu_{LockRank::kTransportRoutes};
   std::unordered_map<EndpointId, ConnPtr> routes_
       SIGMA_GUARDED_BY(route_mu_);
   /// Next time sweep_stale_routes() actually scans (it is called every
-  /// reactor iteration; the scan runs at a quarter of the stale window).
+  /// loop iteration; the scan runs at a quarter of the stale window).
   std::int64_t next_route_sweep_us_ SIGMA_GUARDED_BY(route_mu_) = 0;
 
   obs::RegistryHandle metrics_;
-  TcpCounters counters_;  // shared by every reactor
-  /// Opt-in instruments (null without config_.metrics), shared by every
-  /// reactor. RPC latency is measured send() -> response dispatch, per
-  /// op, against the tracking entries in TcpConn::awaiting_response.
+  TcpCounters counters_;
+  /// Opt-in instruments (null without config_.metrics). RPC latency is
+  /// measured send() -> response dispatch, per op, against the tracking
+  /// entries in TcpConn::awaiting_response.
   obs::Histogram* rpc_us_[kMaxMessageType + 1] = {};
   obs::Gauge* m_write_queue_bytes_ = nullptr;
 
-  SocketFd listen_fd_;  // owned here, borrowed by reactor 0
+  SocketFd listen_fd_;  // the loop polls it when valid
   std::uint16_t listen_port_ = 0;
 
-  /// The shards. Sized at construction, immutable afterwards — indexing
-  /// needs no lock.
-  std::vector<std::unique_ptr<Reactor>> reactors_;
+  /// Built after everything it reads; started once the listener is bound
+  /// and stopped first in the destructor.
+  Reactor reactor_{*this};
 };
 
 }  // namespace sigma::net

@@ -22,7 +22,6 @@ DedupNode::DedupNode(NodeId id, const DedupNodeConfig& config,
       config_(config),
       backend_(std::move(backend)),
       containers_(*backend_, config.container_capacity_bytes),
-      similarity_index_(config.similarity_index_locks),
       cache_(config.cache_capacity_containers),
       bloom_(config.bloom_expected_chunks),
       metrics_(metrics) {

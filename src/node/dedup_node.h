@@ -44,8 +44,6 @@ struct DedupNodeConfig {
   std::uint64_t container_capacity_bytes = 4ull << 20;
   /// Chunk-fingerprint cache capacity, in containers.
   std::size_t cache_capacity_containers = 128;
-  /// Lock stripes in the similarity index (Fig. 4b tunable).
-  std::size_t similarity_index_locks = 1024;
   /// Handprint size k (paper default 8).
   std::size_t handprint_size = 8;
   /// Exact mode keeps the metered on-disk chunk index as a backstop after

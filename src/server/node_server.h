@@ -43,9 +43,6 @@ struct NodeServerConfig {
   /// Service event-loop threads; 0 = two per node (one per drain lane,
   /// so probes overtake write backlogs), capped at hardware concurrency.
   std::size_t service_threads = 0;
-  /// Transport event-loop shards (reactors). 0 = auto
-  /// (min(hardware_concurrency, 4)); see TcpTransportConfig::reactors.
-  std::uint32_t reactors = 0;
   DedupNodeConfig node;
   std::size_t max_body_bytes = 64ull << 20;
 
@@ -84,8 +81,8 @@ class NodeServer {
 
   /// The actual listening port (resolves an ephemeral bind).
   std::uint16_t port() const { return transport_->listen_port(); }
-  /// Transport event-loop shards actually running (resolves reactors=0).
-  std::size_t reactors() const { return transport_->reactor_count(); }
+  /// Transport event loops running: one (see net/tcp/tcp_transport.h).
+  std::size_t reactors() const { return 1; }
   const net::TcpAddress& listen_address() const { return config_.listen; }
 
   std::size_t num_nodes() const { return nodes_.size(); }

@@ -111,8 +111,24 @@ void NodeService::drain(bool fast) {
     Message response;
     {
       // One request at a time against the node, across both lanes. A
-      // probe waits out at most the write in progress, never the queue.
+      // probe waits out at most the write in progress, never the queue:
+      // a write does not take the node while a probe is waiting for it.
+      // (The mutex alone is not enough: the write lane re-locks it before
+      // a woken probe thread gets to run, and can do so for the whole
+      // backlog.)
+      {
+        MutexLock lock(mu_);
+        if (fast) {
+          ++probes_waiting_;
+        } else {
+          while (probes_waiting_ > 0) probes_cv_.wait(mu_);
+        }
+      }
       MutexLock node_lock(node_mu_);
+      if (fast) {
+        MutexLock lock(mu_);
+        if (--probes_waiting_ == 0) probes_cv_.notify_all();
+      }
       // The op span adopts the wire context (no-op unless the request is
       // sampled): the daemon-side span is a child of the client's RPC
       // span, and storage spans under handle() nest beneath it via the

@@ -112,6 +112,10 @@ class NodeService {
   net::Channel<net::Message> fast_inbox_;  // probes, duplicate tests, reads
   bool draining_ SIGMA_GUARDED_BY(mu_) = false;
   bool fast_draining_ SIGMA_GUARDED_BY(mu_) = false;
+  /// Fast-lane requests waiting for node_mu_; the write lane does not
+  /// take the node while any is (it waits on probes_cv_).
+  int probes_waiting_ SIGMA_GUARDED_BY(mu_) = 0;
+  CondVar probes_cv_;
 };
 
 }  // namespace sigma::service

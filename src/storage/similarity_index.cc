@@ -10,23 +10,23 @@ namespace sigma {
 SimilarityIndex::SimilarityIndex(std::size_t num_locks)
     : shards_(std::max<std::size_t>(1, num_locks)) {}
 
-SimilarityIndex::Shard& SimilarityIndex::shard_for(const Fingerprint& rfp) {
+SimilarityIndex::Shard& SimilarityIndex::shard_of(const Fingerprint& rfp) {
   return shards_[mix64(rfp.prefix64()) % shards_.size()];
 }
 
-const SimilarityIndex::Shard& SimilarityIndex::shard_for(
+const SimilarityIndex::Shard& SimilarityIndex::shard_of(
     const Fingerprint& rfp) const {
   return shards_[mix64(rfp.prefix64()) % shards_.size()];
 }
 
 void SimilarityIndex::put(const Fingerprint& rfp, ContainerId container) {
-  Shard& s = shard_for(rfp);
+  Shard& s = shard_of(rfp);
   MutexLock lock(s.mu);
   s.map[rfp.prefix64()] = container;
 }
 
 std::optional<ContainerId> SimilarityIndex::get(const Fingerprint& rfp) const {
-  const Shard& s = shard_for(rfp);
+  const Shard& s = shard_of(rfp);
   MutexLock lock(s.mu);
   auto it = s.map.find(rfp.prefix64());
   if (it == s.map.end()) return std::nullopt;

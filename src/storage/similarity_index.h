@@ -60,8 +60,8 @@ class SimilarityIndex {
     std::unordered_map<std::uint64_t, ContainerId> map SIGMA_GUARDED_BY(mu);
   };
 
-  Shard& shard_for(const Fingerprint& rfp);
-  const Shard& shard_for(const Fingerprint& rfp) const;
+  Shard& shard_of(const Fingerprint& rfp);
+  const Shard& shard_of(const Fingerprint& rfp) const;
 
   std::vector<Shard> shards_;
 };

@@ -408,7 +408,7 @@ TEST(StatsScrapeTest, TcpFleetScrapeMatchesInProcessRegistries) {
                     Buffer{}, 10s);
   const MetricsSnapshot second =
       decode_metrics_snapshot(ByteView{again.data(), again.size()});
-  EXPECT_NE(second.find_counter("transport.reactor0.frames"), nullptr);
+  EXPECT_NE(second.find_counter("tcp.frames_received"), nullptr);
 }
 
 /// The counter names of `snap` that start with one of `prefixes`.

@@ -3,6 +3,8 @@
 // thread pool, and error propagation.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "common/hash_util.h"
@@ -14,6 +16,7 @@
 #include "service/node_service.h"
 #include "service/probe_set.h"
 #include "service/wire_protocol.h"
+#include "storage/backend.h"
 
 namespace sigma {
 namespace {
@@ -38,6 +41,76 @@ Buffer payload_for(std::uint64_t id, std::uint32_t size = 4096) {
   return b;
 }
 
+/// A switch a test can throw to hold a node mid-write: while closed,
+/// every backend put() parks until the test steps it through or opens
+/// the gate.
+class PutGate {
+ public:
+  void close() {
+    std::lock_guard<std::mutex> lock(mu_);
+    closed_ = true;
+  }
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      closed_ = false;
+    }
+    cv_.notify_all();
+  }
+  /// Let one parked put() through (no-op when none is parked or one is
+  /// already on its way).
+  void step() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (parked_ == 0 || permits_ > 0) return;
+      ++permits_;
+    }
+    cv_.notify_all();
+  }
+  /// Block until some put() is parked at the closed gate.
+  void wait_parked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parked_ > 0; });
+  }
+  void pass() {
+    std::unique_lock<std::mutex> lock(mu_);
+    ++parked_;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return !closed_ || permits_ > 0; });
+    if (closed_) --permits_;
+    --parked_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool closed_ = false;
+  int parked_ = 0;
+  int permits_ = 0;
+};
+
+/// An in-memory backend whose puts pass through a PutGate (open unless a
+/// test closes it).
+class GatedBackend final : public StorageBackend {
+ public:
+  explicit GatedBackend(PutGate& gate) : gate_(gate) {}
+
+  void put(const std::string& key, ByteView data) override {
+    gate_.pass();
+    inner_.put(key, data);
+  }
+  std::optional<Buffer> get(const std::string& key) override {
+    return inner_.get(key);
+  }
+  bool exists(const std::string& key) override { return inner_.exists(key); }
+  void remove(const std::string& key) override { inner_.remove(key); }
+  std::vector<std::string> keys() override { return inner_.keys(); }
+
+ private:
+  PutGate& gate_;
+  MemoryBackend inner_;
+};
+
 class ServiceFixture : public ::testing::Test {
  protected:
   /// One fused routing probe, answered synchronously.
@@ -49,12 +122,16 @@ class ServiceFixture : public ::testing::Test {
   }
 
   ServiceFixture()
-      : node_(0, DedupNodeConfig{}),
+      : node_(0, DedupNodeConfig{}, std::make_unique<GatedBackend>(gate_)),
         pool_(2),
         service_(node_, transport_, pool_),
         rpc_(transport_),
         client_(rpc_, service_.endpoint(), 5000ms) {}
+  // A test that ends early must not leave the service draining into a
+  // closed gate.
+  ~ServiceFixture() override { gate_.open(); }
 
+  PutGate gate_;
   DedupNode node_;
   net::LoopbackTransport transport_;
   ThreadPool pool_;
@@ -320,8 +397,13 @@ TEST_F(ServiceFixture, ProbeOvertakesQueuedWriteBacklog) {
   // answer it after at most the write in progress — i.e. while a good
   // part of the backlog is still pending. (In a single FIFO lane the
   // probe would serialize behind all of it, which is exactly what capped
-  // same-node pipelining.)
+  // same-node pipelining.) Each write fills one container, so from the
+  // second write on every write seals the one before: the closed gate
+  // parks that put, holding the node, so the backlog is certain to exist
+  // when the probe is sent, and cannot drain while this thread is not
+  // looking.
   constexpr int kWrites = 40;
+  gate_.close();
   std::vector<net::PendingCall> writes;
   writes.reserve(kWrites);
   for (int i = 0; i < kWrites; ++i) {
@@ -334,12 +416,21 @@ TEST_F(ServiceFixture, ProbeOvertakesQueuedWriteBacklog) {
                                service::encode_write_request(req)));
   }
 
-  (void)client_.stored_bytes();  // probe lands mid-backlog
+  gate_.wait_parked();
+  net::PendingCall probe = rpc_.call(
+      service_.endpoint(), net::MessageType::kStoredBytes, Buffer{});
+  // Step the writer one put at a time until the probe lands mid-backlog.
+  while (!probe.done()) {
+    gate_.step();
+    std::this_thread::sleep_for(1ms);
+  }
+  (void)probe.get(30000ms);
 
   std::size_t writes_pending = 0;
   for (auto& w : writes) {
     if (!w.done()) ++writes_pending;
   }
+  gate_.open();
   net::RpcEndpoint::wait_all(writes, 30000ms);
   // The probe returned while the write backlog was still draining.
   EXPECT_GT(writes_pending, 0u);

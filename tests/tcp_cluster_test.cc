@@ -11,7 +11,6 @@
 #include <chrono>
 #include <optional>
 #include <thread>
-#include <tuple>
 
 #include "cluster/cluster.h"
 #include "common/random.h"
@@ -27,20 +26,16 @@ namespace {
 using namespace std::chrono_literals;
 
 /// A fleet of in-process node daemons (2 TCP servers x 2 nodes each by
-/// default) and the TransportConfig describing it. `reactors` shards both
-/// the daemons' transports and (via transport()) the client's (0 = auto).
+/// default) and the TransportConfig describing it.
 class TcpFleet {
  public:
-  explicit TcpFleet(std::size_t daemons = 2, std::size_t nodes_each = 2,
-                    std::uint32_t reactors = 0)
-      : reactors_(reactors) {
+  explicit TcpFleet(std::size_t daemons = 2, std::size_t nodes_each = 2) {
     net::EndpointId next_endpoint = net::kServiceEndpointBase;
     for (std::size_t d = 0; d < daemons; ++d) {
       server::NodeServerConfig cfg;
       cfg.listen = {"127.0.0.1", 0};
       cfg.num_nodes = nodes_each;
       cfg.first_endpoint = next_endpoint;  // fleet-wide unique ids
-      cfg.reactors = reactors;
       next_endpoint += static_cast<net::EndpointId>(nodes_each);
       servers_.push_back(std::make_unique<server::NodeServer>(cfg));
     }
@@ -51,7 +46,6 @@ class TcpFleet {
     t.mode = TransportMode::kTcp;
     t.pipeline_depth = pipeline_depth;
     t.rpc_timeout_ms = 20000;
-    t.tcp_reactors = reactors_;
     for (const auto& server : servers_) {
       for (std::size_t i = 0; i < server->num_nodes(); ++i) {
         t.tcp_nodes.push_back(
@@ -67,10 +61,12 @@ class TcpFleet {
     return n;
   }
 
+  server::NodeServer& server(std::size_t daemon) {
+    return *servers_.at(daemon);
+  }
   void kill(std::size_t daemon) { servers_.at(daemon).reset(); }
 
  private:
-  std::uint32_t reactors_ = 0;
   std::vector<std::unique_ptr<server::NodeServer>> servers_;
 };
 
@@ -100,17 +96,14 @@ Dataset small_linux_trace() {
   return materialize_dataset("linux-small", gen.content(), *chunker);
 }
 
-class TcpSchemeIdentity
-    : public ::testing::TestWithParam<
-          std::tuple<RoutingScheme, std::uint32_t>> {};
+class TcpSchemeIdentity : public ::testing::TestWithParam<RoutingScheme> {};
 
 TEST_P(TcpSchemeIdentity, TcpReportEqualsDirectReport) {
   // Real sockets must reproduce the direct-call report bit-identically,
-  // Fig. 7 probe counts included — at every reactor-shard count: sharding
-  // the event plane repartitions connections across threads but must
-  // never reorder, drop or duplicate a frame within one connection. Every
-  // routing decision's probes travel as one scatter-gather round.
-  const auto [scheme, reactors] = GetParam();
+  // Fig. 7 probe counts included: the event loop must never reorder, drop
+  // or duplicate a frame within one connection. Every routing decision's
+  // probes travel as one scatter-gather round.
+  const RoutingScheme scheme = GetParam();
   const Dataset trace = small_linux_trace();
 
   Cluster direct(direct_config(scheme, 4));
@@ -118,7 +111,7 @@ TEST_P(TcpSchemeIdentity, TcpReportEqualsDirectReport) {
   direct.flush();
   const auto d = direct.report();
 
-  TcpFleet fleet(2, 2, reactors);  // fresh daemons: node state is remote
+  TcpFleet fleet(2, 2);  // fresh daemons: node state is remote
   Cluster over_tcp(tcp_config(scheme, fleet));
   over_tcp.backup_dataset(trace);
   over_tcp.flush();
@@ -139,14 +132,12 @@ TEST_P(TcpSchemeIdentity, TcpReportEqualsDirectReport) {
   EXPECT_GT(net.bytes_sent, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllSchemesAllShardCounts, TcpSchemeIdentity,
-    ::testing::Combine(::testing::Values(RoutingScheme::kSigma,
-                                         RoutingScheme::kStateless,
-                                         RoutingScheme::kStateful,
-                                         RoutingScheme::kExtremeBinning,
-                                         RoutingScheme::kChunkDht),
-                       ::testing::Values(1u, 2u, 4u)));
+INSTANTIATE_TEST_SUITE_P(AllSchemes, TcpSchemeIdentity,
+                         ::testing::Values(RoutingScheme::kSigma,
+                                           RoutingScheme::kStateless,
+                                           RoutingScheme::kStateful,
+                                           RoutingScheme::kExtremeBinning,
+                                           RoutingScheme::kChunkDht));
 
 TEST(TcpClusterTest, BackupRestoreRoundTripsOverSockets) {
   // Full payload path through the facade: chunking, fingerprinting,
@@ -229,23 +220,45 @@ TEST(TcpClusterTest, KilledDaemonSurfacesAsErrorNotHang) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
 }
 
+TEST(TcpClusterTest, FinishedClientCountsAsClosedNotLost) {
+  // A client that backs up and is destroyed ends its connection in order:
+  // the daemon counts it in tcp.connections_closed, never as lost.
+  TcpFleet fleet(1, 2);
+  {
+    Cluster client(tcp_config(RoutingScheme::kSigma, fleet,
+                              /*pipeline_depth=*/4));
+    client.backup_dataset(small_linux_trace());
+    client.flush();
+  }
+  const auto counter = [&](const char* name) {
+    const obs::MetricsSnapshot snap = fleet.server(0).metrics_snapshot();
+    const std::uint64_t* v = snap.find_counter(name);
+    return v ? *v : ~std::uint64_t{0};
+  };
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (counter("tcp.connections_closed") != 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(5ms);
+  }
+  EXPECT_EQ(counter("tcp.connections_closed"), 1u);
+  EXPECT_EQ(counter("tcp.connections_lost"), 0u);
+}
+
 TEST(TcpClusterTest, ManyPeerTortureScrapesAndKills) {
-  // 16 daemon endpoints behind 4 OS-socket servers, a 4-way-sharded
-  // client transport, 4 producer threads hammering kStatsSnapshot
-  // scrapes across every endpoint while one daemon is killed mid-flight.
-  // Contract: calls to dead endpoints fail as RpcErrors (never hang),
-  // calls to survivors keep succeeding after the kill, and the whole
-  // storm stays inside a bounded wall clock.
-  TcpFleet fleet(4, 4, /*reactors=*/4);
+  // 16 daemon endpoints behind 4 OS-socket servers, one client transport,
+  // 4 producer threads hammering kStatsSnapshot scrapes across every
+  // endpoint while one daemon is killed mid-flight. Contract: calls to
+  // dead endpoints fail as RpcErrors (never hang), calls to survivors
+  // keep succeeding after the kill, and the whole storm stays inside a
+  // bounded wall clock.
+  TcpFleet fleet(4, 4);
   const TransportConfig fleet_cfg = fleet.transport();
 
   net::TcpTransportConfig cfg;
-  cfg.reactors = 4;
   for (const auto& node : fleet_cfg.tcp_nodes) {
     cfg.remote_endpoints[node.endpoint] = node.address;
   }
   net::TcpTransport transport(std::move(cfg));
-  ASSERT_EQ(transport.reactor_count(), 4u);
 
   std::vector<net::EndpointId> endpoints;
   for (const auto& node : fleet_cfg.tcp_nodes) {

@@ -238,7 +238,7 @@ TEST(TcpTransportTest, EchoRoundTripOverSockets) {
 }
 
 TEST(TcpTransportDeathTest, DescriptorExhaustionThrowsInsteadOfHanging) {
-  // Each reactor needs an epoll instance and an eventfd. A process out of
+  // The reactor needs an epoll instance and an eventfd. A process out of
   // descriptors must get SocketError naming the failed call from the
   // constructor: no degraded loop, no reactor that never wakes. The limit
   // is lowered in the death-test child only.
@@ -371,6 +371,9 @@ TEST(TcpTransportTest, KilledPeerFailsInFlightCalls) {
     EXPECT_NE(std::string(e.what()).find("lost"), std::string::npos);
   }
   EXPECT_LT(std::chrono::steady_clock::now() - start, 10s);
+  // The end of stream cut a call short: lost, not an orderly close.
+  EXPECT_GE(client.tcp_stats().connections_lost, 1u);
+  EXPECT_EQ(client.tcp_stats().connections_closed, 0u);
 }
 
 TEST(TcpTransportTest, RawGarbageConnectionIsDroppedServerSurvives) {

@@ -71,7 +71,6 @@ void handle_trace_dump(int) {
   if (!error.empty()) std::cerr << "node_server: " << error << "\n";
   std::cerr << "usage: node_server [--host H] [--port P] [--nodes N]\n"
             << "                   [--first-endpoint E] [--service-threads T]\n"
-            << "                   [--reactors R]\n"
             << "                   [--container-mb MB] [--approximate]\n"
             << "                   [--backend memory|file] [--data-dir DIR]\n"
             << "                   [--no-fsync] [--trace-sample N]\n"
@@ -84,8 +83,6 @@ void handle_trace_dump(int) {
             << sigma::net::kServiceEndpointBase << ")\n"
             << "  --service-threads T  event-loop threads (default: 2 per "
                "node)\n"
-            << "  --reactors R         transport event-loop shards (default\n"
-            << "                       0 = min(hardware threads, 4))\n"
             << "  --container-mb MB    container capacity (default 4)\n"
             << "  --approximate        similarity-index-only dedup (Fig. 5b)\n"
             << "  --backend B          node state storage (default memory);\n"
@@ -148,8 +145,6 @@ int main(int argc, char** argv) {
           static_cast<net::EndpointId>(number(0xFFFFFFFFul));
     } else if (arg == "--service-threads") {
       config.service_threads = number(1024);
-    } else if (arg == "--reactors") {
-      config.reactors = static_cast<std::uint32_t>(number(64));
     } else if (arg == "--container-mb") {
       config.node.container_capacity_bytes = number(1ul << 20) << 20;
     } else if (arg == "--approximate") {
@@ -231,8 +226,7 @@ int main(int argc, char** argv) {
     std::cout << "READY port=" << server.port() << " endpoints="
               << server.endpoint(0) << ".."
               << server.endpoint(server.num_nodes() - 1)
-              << " nodes=" << server.num_nodes()
-              << " reactors=" << server.reactors() << std::endl;
+              << " nodes=" << server.num_nodes() << std::endl;
 
     // Serve until SIGINT/SIGTERM; SIGUSR1 dumps metrics and SIGUSR2 the
     // trace rings, both without disturbing service.
